@@ -87,14 +87,12 @@ def _validate_common(args) -> None:
         raise ValueError("--k must be positive")
     if args.potential is None:
         raise ValueError("--potential is required")
-    if getattr(args, "jobs", None) is not None and args.jobs < 1:
-        raise ValueError("--jobs must be >= 1")
 
 
 def _cmd_spectrum(args) -> int:
     _merge_config(args, {"potential": str, "k": float, "R": float, "tol": float,
                          "re_min": float, "re_max": float, "im_min": float,
-                         "im_max": float, "out": str, "jobs": int})
+                         "im_max": float, "out": str})
     _validate_common(args)
     V = parse_potential(args.potential)
     tol = args.tol if args.tol is not None else 1e-9
@@ -116,7 +114,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_count_compare(args) -> int:
     _merge_config(args, {"potential": str, "k": float, "R": float, "tol": float,
-                         "out": str, "jobs": int})
+                         "out": str})
     _validate_common(args)
     if args.R is None:
         raise ValueError("--R is required")
@@ -141,7 +139,7 @@ def _cmd_count_compare(args) -> int:
 def _cmd_phaseplot(args) -> int:
     _merge_config(args, {"potential": str, "k": float, "re_min": float, "re_max": float,
                          "im_min": float, "im_max": float, "nx": int, "ny": int,
-                         "out_prefix": str, "jobs": int})
+                         "out_prefix": str})
     _validate_common(args)
     rect = (args.re_min, args.re_max, args.im_min, args.im_max)
     if any(r is None for r in rect):
@@ -223,33 +221,21 @@ def _antisymmetric_bundle(outdir: Path, k: float = 1.0) -> list[str]:
     return written
 
 
-def _gap_dichotomy_bundle(outdir: Path, k: float = 1.0) -> list[str]:
-    written = []
-    for g in (0.0, 1.0):
-        if g == 0.0:
-            V = potential.build_w([-1.0, 0.0, 2.0], [-1.0, 1.0])
-        else:
-            V = potential.build_w([-g - 1.0, -g, 0.0, 2.0], [-1.0, 0.0, 1.0])
-        tag = f"2.3_g{g:g}"
-        sp = spectra.real_spectrum(V, k, 150.0, tol=1e-9)
-        _write_curve_csv(outdir / f"{tag}_count.csv", "R,count,density",
-                         _count_trace_rows(sp, np.arange(5.0, 151.0, 5.0)))
-        pred = asymptotics.predict(V, k)
-        rep = asymptotics.compare(sp, pred, 150.0)
-        (outdir / f"{tag}_report.json").write_text(json.dumps({
-            "prediction": json.loads(pred.to_json()),
-            "comparison": json.loads(rep.to_json()),
-        }, indent=2) + "\n")
-        written += [f"{tag}_count.csv", f"{tag}_report.json"]
-    return written
+# (tag, breakpoints, values) of the counted potentials: 2.3 is the gap
+# dichotomy (no gap vs one gap), 2.4 the twin gaps of lengths 0.5 and 1
+_COUNT_CASES = {
+    "2.3": (("2.3_g0", [-1.0, 0.0, 2.0], [-1.0, 1.0]),
+            ("2.3_g1", [-2.0, -1.0, 0.0, 2.0], [-1.0, 0.0, 1.0])),
+    "2.4": (("2.4_g0.5", [-2.5, -1.5, -1.0, 1.0, 1.5, 2.5], [-1.0, 0.0, 1.0, 0.0, -1.0]),
+            ("2.4_g1", [-3.0, -2.0, -1.0, 1.0, 2.0, 3.0], [-1.0, 0.0, 1.0, 0.0, -1.0])),
+}
 
 
-def _twin_gap_bundle(outdir: Path, k: float = 1.0) -> list[str]:
+def _count_bundle(outdir: Path, example_id: str, k: float = 1.0) -> list[str]:
+    """Counting trace and density report on [0, 150] for each case."""
     written = []
-    for g in (0.5, 1.0):
-        V = potential.build_w([-g - 2.0, -g - 1.0, -1.0, 1.0, g + 1.0, g + 2.0],
-                              [-1.0, 0.0, 1.0, 0.0, -1.0])
-        tag = f"2.4_g{g:g}"
+    for tag, bps, vals in _COUNT_CASES[example_id]:
+        V = potential.build_w(bps, vals)
         sp = spectra.real_spectrum(V, k, 150.0, tol=1e-9)
         _write_curve_csv(outdir / f"{tag}_count.csv", "R,count,density",
                          _count_trace_rows(sp, np.arange(5.0, 151.0, 5.0)))
@@ -281,8 +267,8 @@ def _sech_well_bundle(outdir: Path) -> list[str]:
 _SCENARIOS = {
     "2.1": _square_bump_bundle,
     "2.2": _antisymmetric_bundle,
-    "2.3": _gap_dichotomy_bundle,
-    "2.4": _twin_gap_bundle,
+    "2.3": lambda outdir: _count_bundle(outdir, "2.3"),
+    "2.4": lambda outdir: _count_bundle(outdir, "2.4"),
     "2.5": lambda outdir: _sech_well_bundle(outdir),
 }
 
@@ -316,7 +302,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key=value defaults file; flags override")
         p.add_argument("--potential", "-p", help="w:[a0,a1,...]:v1,... or hrp")
         p.add_argument("--k", type=float, help="transverse frequency, > 0")
-        p.add_argument("--jobs", type=int, help="parallelism degree (outputs do not depend on it)")
 
     p_spec = sub.add_parser("spectrum", help="locate eigenvalue couplings")
     add_common(p_spec)
@@ -366,7 +351,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError, UnknownExample) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ZeromodesError as exc:
+    except (ZeromodesError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 

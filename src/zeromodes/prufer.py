@@ -9,6 +9,12 @@ theta -> +pi/4 at -inf.  The defect Delta(gamma) between the two branches
 at a matching point characterises the real spectrum: gamma is a zero-mode
 coupling iff Delta(gamma) lies in pi/2 + pi*Z.
 
+Step potentials are crossed with one closed-form kernel that takes the
+whole coupling grid as an array: on each constant piece it adds the exact
+number of half-turns and one exact remainder step, so its cost per piece
+does not grow with |gamma|.  Analytic potentials use an adaptive
+high-order integrator.
+
 Matching conventions (zero sets are convention independent):
 
 * compactly supported step potentials match at the left support edge, where
@@ -57,9 +63,9 @@ __all__ = [
     "delta_derivative",
 ]
 
-_MAX_STEP_ANGLE = math.pi / 4  # lifting is unambiguous while |dtheta| < pi
 _ODE_RTOL = 1e-11
 _ODE_ATOL = 1e-12
+_REF_RTOL = 1e-13  # step pieces under method="ode", the reference for the kernel
 
 
 @dataclass(frozen=True)
@@ -134,49 +140,46 @@ def _choose_truncation_bucketed(V: AnalyticPotential, gbound: float, tol: float)
     return X
 
 
-# --- scalar propagation ------------------------------------------------------
+# --- propagation -------------------------------------------------------------
 
 
-def _cos_sinc_real(w2: float, h: float) -> tuple[float, float]:
-    # (cos(w h), sin(w h)/w) for w = sqrt(w2), any sign of w2, stable near 0
-    z = w2 * h * h
-    if abs(z) < 1e-8:
-        c = 1 + z * (-1 / 2 + z * (1 / 24 + z * (-1 / 720 + z * (1 / 40320 - z / 3628800))))
-        s = h * (1 + z * (-1 / 6 + z * (1 / 120 + z * (-1 / 5040 + z * (1 / 362880 - z / 39916800)))))
-        return c, s
-    if w2 > 0:
-        w = math.sqrt(w2)
-        return math.cos(w * h), math.sin(w * h) / w
-    w = math.sqrt(-w2)
-    return math.cosh(w * h), math.sinh(w * h) / w
+def _lift(W: PiecewiseConstantPotential, gammas: np.ndarray, theta: float,
+          x0: float, x1: float, k: float) -> np.ndarray:
+    """Lifted angle after crossing the pieces of W from x0 to x1 (either
+    direction), starting from theta, for every coupling in gammas at once.
 
-
-def _walk_exact(theta: float, x0: float, x1: float, v: float, gamma: float, k: float) -> float:
-    """Lifted angle after exact spinor propagation across a constant piece.
-
-    Substeps keep |dtheta| < pi/4 so the atan2 re-lift is unambiguous.
+    On a piece of value v and signed length L the spinor propagator is
+    c*I + s*M (closedform) with w^2 = (gamma*v)^2 - k^2.  If w^2 >= 0 the
+    angle is monotone with sign sigma = sign(gamma*v*L) and the propagator
+    over length pi/w is exactly -I: whole half-turns are counted, and one
+    exact step over the remainder adds an increment in sigma*[0, pi).  If
+    w^2 < 0 the angle cannot pass a fixed point, so the increment lies in
+    (-pi, pi); the propagator divided by cosh(wL) cannot overflow.  The
+    increment is atan2 of the cross and dot products of the unit spinor
+    with its image, written out so the image itself is never formed.
     """
-    L = x1 - x0
-    if L == 0.0:
-        return theta
-    rate = abs(gamma * v) + abs(k)
-    n = max(1, math.ceil(abs(L) * rate / _MAX_STEP_ANGLE))
-    h = L / n
-    gv = gamma * v
-    c, s = _cos_sinc_real(gv * gv - k * k, h)
-    m12 = s * (k - gv)
-    m21 = s * (k + gv)
-    p1, p2 = math.cos(theta), math.sin(theta)
-    for _ in range(n):
-        p1, p2 = c * p1 + m12 * p2, m21 * p1 + c * p2
-        nrm = math.hypot(p1, p2)
-        p1 /= nrm
-        p2 /= nrm
-        theta += math.remainder(math.atan2(p2, p1) - theta, math.tau)
+    theta = np.full(gammas.shape, theta, dtype=float)
+    for lo, hi, v in _piece_segments(W, x0, x1):
+        L = hi - lo
+        gv = gammas * v
+        w2 = gv * gv - k * k
+        # w below 1e-150 gives the same c and s as w = 1e-150, and no 0/0
+        w = np.sqrt(np.maximum(np.abs(w2), 1e-300))
+        osc = w2 >= 0.0
+        turns = np.floor(abs(L) * w / math.pi) * osc
+        wr = w * L - math.copysign(math.pi, L) * turns  # w times the remaining length
+        c = np.where(osc, np.cos(wr), 1.0)
+        s = np.where(osc, np.sin(wr), np.tanh(w * L)) / w
+        d = np.arctan2(s * (gv + k * np.cos(2.0 * theta)), c + s * k * np.sin(2.0 * theta))
+        sigma = np.sign(gv) * math.copysign(1.0, L)
+        # rounding can put a remainder increment near +-pi on the wrong side
+        d = np.where(osc & (sigma * d < -math.pi / 2), d + math.tau * sigma, d)
+        theta = theta + math.pi * sigma * turns + d
     return theta
 
 
-def _walk_ode(theta: float, x0: float, x1: float, V, gamma: float, k: float) -> float:
+def _walk_ode(theta: float, x0: float, x1: float, V, gamma: float, k: float,
+              rtol: float = _ODE_RTOL) -> float:
     if x0 == x1:
         return theta
     sol = solve_ivp(
@@ -184,7 +187,7 @@ def _walk_ode(theta: float, x0: float, x1: float, V, gamma: float, k: float) -> 
         (x0, x1),
         [theta],
         method="DOP853",
-        rtol=_ODE_RTOL,
+        rtol=rtol,
         atol=_ODE_ATOL,
     )
     if not sol.success:
@@ -205,20 +208,23 @@ def _piece_segments(W: PiecewiseConstantPotential, x0: float, x1: float):
 def propagate(state: PruferState, V: Potential, to_x: float, method: str = "auto") -> PruferState:
     """Advance the lifted angle to to_x (either direction).
 
-    Step potentials default to exact per-piece spinor propagation with
-    continuous re-lifting; analytic potentials (or method="ode") use an
-    adaptive high-order integrator.
+    Step potentials default to the closed-form per-piece kernel; analytic
+    potentials (or method="ode") use an adaptive high-order integrator.
     """
     if method not in ("auto", "exact", "ode"):
         raise ValueError(f"unknown method {method!r}")
     theta, x, gamma, k = state.theta, state.x, state.gamma, state.k
     if isinstance(V, PiecewiseConstantPotential):
         W = canonicalize(V)
-        for a, b, v in _piece_segments(W, x, to_x):
-            if method == "ode":
-                theta = _walk_ode(theta, a, b, lambda _x, _v=v: _v, gamma, k)
-            else:
-                theta = _walk_exact(theta, a, b, v, gamma, k)
+        if method == "ode":
+            # theta' is pi-periodic in theta: start each piece from the reduced
+            # angle, so that the relative tolerance does not grow with |theta|
+            for a, b, v in _piece_segments(W, x, to_x):
+                turns = math.pi * round(theta / math.pi)
+                theta = turns + _walk_ode(theta - turns, a, b, lambda _x, _v=v: _v, gamma, k,
+                                          rtol=_REF_RTOL)
+        else:
+            theta = float(_lift(W, np.array([gamma], dtype=float), theta, x, to_x, k)[0])
     else:
         if method == "exact":
             raise ValueError("exact propagation requires a piecewise-constant potential")
@@ -226,46 +232,13 @@ def propagate(state: PruferState, V: Potential, to_x: float, method: str = "auto
     return PruferState(theta, to_x, gamma, k)
 
 
-def delta_v(V: Potential, gamma: float, k: float, method: str = "auto") -> float:
+def delta_v(V: Potential, gamma: float, k: float) -> float:
     """Matching defect Delta(gamma); real couplings in the spectrum satisfy
     Delta in pi/2 + pi*Z.  Delta(0) == 0 for every potential."""
-    if k <= 0:
-        raise NonPositiveK("k must be positive")
-    if isinstance(V, PiecewiseConstantPotential):
-        hull = V.support_hull()
-        if hull is None:
-            return 0.0
-        a, b = hull
-        state = PruferState(-math.pi / 4, b, gamma, k)
-        theta_a = propagate(state, V, a, method=method).theta
-        return -math.pi / 4 - theta_a
-    X = choose_truncation(V, gamma)
-    plus = propagate(PruferState(-math.pi / 4, X, gamma, k), V, 0.0, method=method).theta
-    minus = propagate(PruferState(math.pi / 4, -X, gamma, k), V, 0.0, method=method).theta
-    return -math.pi / 2 - plus + minus
+    return float(delta_grid(V, [gamma], k)[0])
 
 
 # --- vectorized grid evaluation ----------------------------------------------
-
-
-def _cos_sinc_vec(w2: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    z = w2 * h * h
-    c = np.empty_like(w2)
-    s = np.empty_like(w2)
-    small = np.abs(z) < 1e-8
-    pos = (w2 > 0) & ~small
-    neg = ~pos & ~small
-    w = np.sqrt(np.abs(w2))
-    c[pos] = np.cos(w[pos] * h)
-    s[pos] = np.sin(w[pos] * h) / w[pos]
-    c[neg] = np.cosh(w[neg] * h)
-    s[neg] = np.sinh(w[neg] * h) / w[neg]
-    zs = z[small]
-    c[small] = 1 + zs * (-1 / 2 + zs * (1 / 24 + zs * (-1 / 720 + zs * (1 / 40320 - zs / 3628800))))
-    s[small] = h * (
-        1 + zs * (-1 / 6 + zs * (1 / 120 + zs * (-1 / 5040 + zs * (1 / 362880 - zs / 39916800))))
-    )
-    return c, s
 
 
 def delta_grid(V: Potential, gammas: Sequence[float], k: float) -> np.ndarray:
@@ -288,28 +261,8 @@ def delta_grid(V: Potential, gammas: Sequence[float], k: float) -> np.ndarray:
     hull = V.support_hull()
     if hull is None or g.size == 0:
         return np.zeros(g.size)
-    W = canonicalize(V)
-    a_hull, b_hull = hull
-    theta = np.full(g.size, -math.pi / 4)
-    p1 = np.cos(theta)
-    p2 = np.sin(theta)
-    gmax = float(np.max(np.abs(g))) if g.size else 0.0
-    for lo, hi, v in _piece_segments(W, b_hull, a_hull):
-        L = hi - lo  # negative: walking right to left
-        n = max(1, math.ceil(abs(L) * (abs(gmax * v) + k) / _MAX_STEP_ANGLE))
-        h = L / n
-        gv = g * v
-        c, s = _cos_sinc_vec(gv * gv - k * k, h)
-        m12 = s * (k - gv)
-        m21 = s * (k + gv)
-        for _ in range(n):
-            p1, p2 = c * p1 + m12 * p2, m21 * p1 + c * p2
-            nrm = np.hypot(p1, p2)
-            p1 /= nrm
-            p2 /= nrm
-            raw = np.arctan2(p2, p1)
-            theta += np.mod(raw - theta + math.pi, math.tau) - math.pi
-    return -math.pi / 4 - theta
+    a, b = hull
+    return -math.pi / 4 - _lift(canonicalize(V), g, -math.pi / 4, b, a, k)
 
 
 def delta_curve(V: Potential, gammas: Iterable[float], k: float) -> DeltaCurve:

@@ -410,7 +410,7 @@ class PhaseGrid:
             fh.write("re,im,arg\n")
             for j, y in enumerate(ys):
                 for i, x in enumerate(xs):
-                    fh.write(f"{x!r},{y!r},{self.arg_values[j, i]!r}\n")
+                    fh.write(f"{float(x)!r},{float(y)!r},{float(self.arg_values[j, i])!r}\n")
 
     def to_ppm(self, path) -> None:
         """Binary P6 pixmap with the periodic hue map hue = (arg + pi) / 2pi,

@@ -152,6 +152,10 @@ def test_reproduce_antisymmetric(tmp_path, capsys):
 
 
 def test_reproduce_twin_gap_dichotomy(tmp_path, capsys):
+    code, _, _ = run(["reproduce", "--example", "2.3", "--outdir", str(tmp_path)], capsys)
+    assert code == 0
+    for name in ("2.3_g0_count.csv", "2.3_g0_report.json", "2.3_g1_count.csv", "2.3_g1_report.json"):
+        assert (tmp_path / name).exists()
     code, _, _ = run(["reproduce", "--example", "2.4", "--outdir", str(tmp_path)], capsys)
     assert code == 0
     rows05 = (tmp_path / "2.4_g0.5_count.csv").read_text().splitlines()[1:]
@@ -181,7 +185,7 @@ def test_reproduce_sech_well(tmp_path, capsys):
 def test_determinism(tmp_path, capsys):
     args = ["spectrum", "--potential", "w:[-2,-1,0,2]:-1,0,1", "--k", "1", "--R", "30"]
     _, out1, _ = run(args, capsys)
-    _, out2, _ = run(args + ["--jobs", "4"], capsys)
+    _, out2, _ = run(args, capsys)
     assert out1 == out2
 
 
@@ -190,3 +194,14 @@ def test_numerical_failure_exit_code(capsys):
                        capsys)
     assert code == 3
     assert "failure" in err
+
+
+def test_arithmetic_failure_exit_code(tmp_path, capsys):
+    # a gap of length 800 overflows the complex determinant's cos(w L)
+    rect = ["--potential", "w:[-1,0,800,801]:1,0,1", "--k", "1",
+            "--re-min", "0", "--re-max", "5", "--im-min", "-1", "--im-max", "1"]
+    for argv in (["phaseplot", *rect, "--nx", "4", "--ny", "4",
+                  "--out-prefix", str(tmp_path / "p")], ["spectrum", *rect]):
+        code, _, err = run(argv, capsys)
+        assert code == 3
+        assert err.startswith("numerical failure:")

@@ -18,7 +18,7 @@ from zeromodes.prufer import (
     tail_angle_bound,
     truncation_bound,
 )
-from conftest import antisymmetric_pair, gap_pair, square_bump
+from conftest import antisymmetric_pair, gap_pair, square_bump, twin_gap
 
 
 def test_delta_at_zero_coupling():
@@ -189,10 +189,14 @@ def test_antisymmetric_is_never_eigen():
 
 
 def test_delta_grid_matches_scalar(sech_well):
-    gs = [0.0, 0.7, 1.9]
-    grid = delta_grid(sech_well, gs, 1.0)
-    for g, d in zip(gs, grid):
-        assert abs(d - delta_v(sech_well, g, 1.0)) < 1e-9
+    # gamma = 1 puts |gamma v| = k on the unit pieces of the step potentials
+    cases = [(sech_well, [0.0, 0.7, 1.9])]
+    cases += [(V, [-37.5, 0.0, 1.0, 150.0, 600.0])
+              for V in (square_bump(), gap_pair(1.0, 2.0), twin_gap(1.0))]
+    for V, gs in cases:
+        grid = delta_grid(V, gs, 1.0)
+        for g, d in zip(gs, grid):
+            assert abs(d - delta_v(V, g, 1.0)) < 1e-9
 
 
 def test_delta_curve_csv(tmp_path):

@@ -187,6 +187,8 @@ def test_phase_grid_exports(tmp_path):
     lines = csv.read_text().splitlines()
     assert lines[0] == "re,im,arg"
     assert len(lines) == 1 + 8 * 4
+    for line in lines[1:]:
+        assert all(math.isfinite(float(field)) for field in line.split(","))
 
 
 def test_phase_grid_validation():
