@@ -12,8 +12,9 @@ coupling iff Delta(gamma) lies in pi/2 + pi*Z.
 Step potentials are crossed with one closed-form kernel that takes the
 whole coupling grid as an array: on each constant piece it adds the exact
 number of half-turns and one exact remainder step, so its cost per piece
-does not grow with |gamma|.  Analytic potentials use an adaptive
-high-order integrator.
+does not grow with |gamma|.  Analytic potentials are integrated by one
+adaptive high-order ODE solve whose state is the vector of angles over
+all couplings: V(x) is shared, so the couplings share the steps.
 
 Matching conventions (zero sets are convention independent):
 
@@ -25,8 +26,8 @@ Matching conventions (zero sets are convention independent):
   of negligible potential *away* from its defining end is exponentially
   unstable, which is why the matching point sits inside the bulk.
 
-Every operation here is pure; per-gamma evaluations are independent and can
-be dispatched concurrently (grid scans are embarrassingly parallel).
+Every operation here is pure and takes the couplings as an array; the
+scalar entry points are calls on arrays of size 1.
 """
 
 from __future__ import annotations
@@ -178,21 +179,31 @@ def _lift(W: PiecewiseConstantPotential, gammas: np.ndarray, theta: float,
     return theta
 
 
-def _walk_ode(theta: float, x0: float, x1: float, V, gamma: float, k: float,
-              rtol: float = _ODE_RTOL) -> float:
+def _walk_ode(theta: float, x0: float, x1: float, V, gammas: np.ndarray, k: float,
+              rtol: float = _ODE_RTOL) -> np.ndarray:
+    """Lifted angles at x1 for every coupling in gammas, from one adaptive
+    solve whose state holds all of them (all start from theta at x0).
+
+    The integrator bounds the RMS of the scaled error estimates over the
+    components, so both tolerances are divided by sqrt(n): each component's
+    estimate then stays within the budget of a solve of its own.
+    """
+    start = np.full(gammas.shape, theta, dtype=float)
     if x0 == x1:
-        return theta
+        return start
+    shrink = 1.0 / math.sqrt(gammas.size)
     sol = solve_ivp(
-        lambda x, th: gamma * V(x) + k * math.cos(2.0 * th[0]),
+        lambda x, th: gammas * V(x) + k * np.cos(2.0 * th),
         (x0, x1),
-        [theta],
+        start,
         method="DOP853",
-        rtol=rtol,
-        atol=_ODE_ATOL,
+        rtol=rtol * shrink,
+        atol=_ODE_ATOL * shrink,
+        t_eval=[x1],  # store only the end state, not one per step
     )
     if not sol.success:
-        raise StepUnderflow(f"integrator stalled near x = {sol.t[-1]:.6g}")
-    return float(sol.y[0, -1])
+        raise StepUnderflow(f"integrator stalled before x = {x1:.6g}: {sol.message}")
+    return sol.y[:, -1]
 
 
 def _piece_segments(W: PiecewiseConstantPotential, x0: float, x1: float):
@@ -214,6 +225,7 @@ def propagate(state: PruferState, V: Potential, to_x: float, method: str = "auto
     if method not in ("auto", "exact", "ode"):
         raise ValueError(f"unknown method {method!r}")
     theta, x, gamma, k = state.theta, state.x, state.gamma, state.k
+    g = np.array([gamma], dtype=float)
     if isinstance(V, PiecewiseConstantPotential):
         W = canonicalize(V)
         if method == "ode":
@@ -221,14 +233,14 @@ def propagate(state: PruferState, V: Potential, to_x: float, method: str = "auto
             # angle, so that the relative tolerance does not grow with |theta|
             for a, b, v in _piece_segments(W, x, to_x):
                 turns = math.pi * round(theta / math.pi)
-                theta = turns + _walk_ode(theta - turns, a, b, lambda _x, _v=v: _v, gamma, k,
-                                          rtol=_REF_RTOL)
+                theta = turns + float(_walk_ode(theta - turns, a, b, lambda _x, _v=v: _v, g, k,
+                                                rtol=_REF_RTOL)[0])
         else:
-            theta = float(_lift(W, np.array([gamma], dtype=float), theta, x, to_x, k)[0])
+            theta = float(_lift(W, g, theta, x, to_x, k)[0])
     else:
         if method == "exact":
             raise ValueError("exact propagation requires a piecewise-constant potential")
-        theta = _walk_ode(theta, x, to_x, V, gamma, k)
+        theta = float(_walk_ode(theta, x, to_x, V, g, k)[0])
     return PruferState(theta, to_x, gamma, k)
 
 
@@ -242,7 +254,8 @@ def delta_v(V: Potential, gamma: float, k: float) -> float:
 
 
 def delta_grid(V: Potential, gammas: Sequence[float], k: float) -> np.ndarray:
-    """Delta on a coupling grid; vectorized over gamma for step potentials."""
+    """Delta on a coupling grid: one closed-form sweep over the pieces (step
+    potentials) or one vector ODE solve per branch (analytic potentials)."""
     if k <= 0:
         raise NonPositiveK("k must be positive")
     g = np.asarray(gammas, dtype=float)
@@ -251,12 +264,9 @@ def delta_grid(V: Potential, gammas: Sequence[float], k: float) -> np.ndarray:
             return np.zeros(0)
         # share one cutoff across the grid so the scan is consistent
         X = choose_truncation(V, float(np.max(np.abs(g))))
-        out = np.empty(g.size)
-        for i, gi in enumerate(g):
-            plus = _walk_ode(-math.pi / 4, X, 0.0, V, float(gi), k)
-            minus = _walk_ode(math.pi / 4, -X, 0.0, V, float(gi), k)
-            out[i] = -math.pi / 2 - plus + minus
-        return out
+        plus = _walk_ode(-math.pi / 4, X, 0.0, V, g, k)
+        minus = _walk_ode(math.pi / 4, -X, 0.0, V, g, k)
+        return -math.pi / 2 - plus + minus
 
     hull = V.support_hull()
     if hull is None or g.size == 0:

@@ -4,7 +4,9 @@ counting functions, and phase-grid export.
 Real couplings are located by scanning the matching defect Delta over a
 grid fine enough that a crossing of the half-integer-pi levels cannot slip
 between nodes (an a-priori slope heuristic, self-corrected by rescanning at
-half step until the bracket count stabilises), then bisecting each bracket.
+half step until the bracket count stabilises), then refining all brackets
+at once by vectorised Illinois false position, one Delta grid evaluation
+per iteration.
 Complex couplings of step potentials are located by tracking the phase
 winding of the matching determinant around rectangles, subdividing until
 small, then polishing with Newton.
@@ -35,7 +37,7 @@ from .potential import (
     l1_norm,
     tail_l1,
 )
-from .prufer import delta_grid, delta_v
+from .prufer import delta_grid, delta_v  # noqa: F401  (delta_v stays importable from here)
 
 __all__ = [
     "Root",
@@ -48,6 +50,7 @@ __all__ = [
 ]
 
 _SEPARATION_FLOOR = 1e-7  # closer roots are merged as duplicates
+_MAX_SCAN_CELLS = 2**20  # a defect scan that needs a finer grid fails instead
 
 
 @dataclass(frozen=True)
@@ -109,35 +112,90 @@ def _effective_diameter(V: Potential) -> float:
     return 2.0 * min(W, V.decay_hint)
 
 
-def _level_range(d0: float, d1: float) -> range:
-    """Indices n with (n + 1/2)*pi strictly between d0 and d1."""
-    lo, hi = (d0, d1) if d0 <= d1 else (d1, d0)
-    n_min = math.ceil(lo / math.pi - 0.5 + 1e-15)
-    n_max = math.floor(hi / math.pi - 0.5 - 1e-15)
-    return range(n_min, n_max + 1)
+def _levels_below(d: np.ndarray, strict: bool) -> np.ndarray:
+    """Largest n with (n + 1/2)*pi <= d (< d if strict), compared against the
+    level values themselves so that a node sitting on a level is exact."""
+    n = np.floor(d / math.pi - 0.5)
+    n += (n + 1.5) * math.pi <= d
+    n -= (n + 0.5) * math.pi > d
+    if strict:
+        n -= (n + 0.5) * math.pi == d
+    return n
 
 
-def _delta_brackets(V, k, grid: np.ndarray, deltas: np.ndarray):
-    """(lo, hi, level) triples, one per level crossing; None when a single
-    cell crosses more than one level (scan too coarse)."""
-    out = []
-    for i in range(len(grid) - 1):
-        levels = _level_range(deltas[i], deltas[i + 1])
-        if len(levels) > 1:
-            return None
-        for n in levels:
-            out.append((grid[i], grid[i + 1], (n + 0.5) * math.pi))
-    return out
+def _delta_brackets(deltas: np.ndarray):
+    """(cells, levels) arrays, one entry per level crossing, where cell i
+    lies between nodes i and i + 1; None when a single cell crosses more
+    than one level (scan too coarse).
+
+    A cell owns the levels between its Delta values, excluding the one at
+    its left node and including the one at its right node, so a level hit
+    exactly at a node belongs to exactly one cell."""
+    d0, d1 = deltas[:-1], deltas[1:]
+    rising = d0 <= d1
+    n_le, n_lt = _levels_below(deltas, False), _levels_below(deltas, True)
+    first = np.where(rising, n_le[:-1], n_lt[1:]) + 1
+    count = np.where(rising, n_le[1:] - n_le[:-1], n_lt[:-1] - n_lt[1:])
+    if np.any(count > 1):
+        return None
+    cells = np.nonzero(count == 1)[0]
+    return cells, (first[cells] + 0.5) * math.pi
+
+
+def _refine(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: np.ndarray,
+            hi: np.ndarray, flo: np.ndarray, fhi: np.ndarray, xtol: float) -> np.ndarray:
+    """Roots of f in all brackets [lo, hi] at once.
+
+    f(idx, x) returns the residuals of the brackets idx at the points x;
+    flo and fhi are the residuals already known at the ends, of opposite
+    signs unless one is exactly 0, in which case that end is the root.
+    Each iteration makes one call to f on the brackets still open: an
+    Illinois false-position point, kept at least xtol/4 inside the bracket,
+    or the midpoint when the bracket has not halved in three iterations.  A
+    bracket closes when f vanishes at the new point, which is then its
+    root, or when it is narrower than xtol (plus four ulps of its ends);
+    its root is then the false-position point of its end residuals.
+    """
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    fa, fb = np.array(flo, dtype=float), np.array(fhi, dtype=float)
+    root = np.where(fa == 0.0, a, np.where(fb == 0.0, b, np.nan))
+    sa, sb = np.ones(a.size), np.ones(a.size)  # Illinois weights of fa and fb
+    kept = np.zeros(a.size, dtype=int)  # end kept by the last step: -1 a, +1 b
+    width = np.full((3, a.size), np.inf)  # widths 3, 2 and 1 iterations ago
+    while True:
+        w = b - a
+        done = np.isnan(root) & (w <= xtol + 8.9e-16 * np.maximum(abs(a), abs(b)))
+        root[done] = (b - fb * w / (fb - fa))[done]
+        idx = np.nonzero(np.isnan(root))[0]
+        if idx.size == 0:
+            return root
+        ai, bi, wi = a[idx], b[idx], w[idx]
+        fai, fbi = sa[idx] * fa[idx], sb[idx] * fb[idx]
+        x = np.clip(bi - fbi * wi / (fbi - fai), ai + 0.25 * xtol, bi - 0.25 * xtol)
+        stalled = wi > 0.5 * width[0, idx]
+        x[stalled] = 0.5 * (ai + bi)[stalled]
+        width[:-1, idx] = width[1:, idx]
+        width[-1, idx] = wi
+        fx = f(idx, x)
+        root[idx[fx == 0.0]] = x[fx == 0.0]
+        left = np.sign(fx) == np.sign(fai)  # the root lies in (x, b)
+        ia, ib = idx[left], idx[~left]
+        a[ia], fa[ia], sa[ia] = x[left], fx[left], 1.0
+        b[ib], fb[ib], sb[ib] = x[~left], fx[~left], 1.0
+        # Illinois: an end kept twice in a row has its weight halved
+        sb[ia[kept[ia] == 1]] *= 0.5
+        sa[ib[kept[ib] == -1]] *= 0.5
+        kept[ia], kept[ib] = 1, -1
 
 
 def real_spectrum(V: Potential, k: float, R: float, tol: float = 1e-9,
                   method: str = "delta") -> GammaSpectrum:
     """All real couplings in [0, R] admitting a confined zero mode.
 
-    method "delta" scans/bisects the matching defect (works for every
-    potential); "determinant" brackets sign changes of the real matching
-    determinant (step potentials only) and serves as the independent
-    cross-check pipeline.
+    method "delta" scans the matching defect and refines every bracket in
+    one batch (works for every potential); "determinant" brackets sign
+    changes of the real matching determinant (step potentials only) and
+    serves as the independent cross-check pipeline.
     """
     if k <= 0:
         raise NonPositiveK("k must be positive")
@@ -155,12 +213,13 @@ def real_spectrum(V: Potential, k: float, R: float, tol: float = 1e-9,
     step = math.pi / (4.0 * (1.1 * l1_norm(V) + k * diam + 1e-12))
     step = min(step, R / 8.0)
 
-    roots: list[Root] = []
     for attempt in range(14):
         n_cells = int(math.ceil(R / step))
+        if 2 * n_cells > _MAX_SCAN_CELLS:
+            break
         grid = np.linspace(0.0, R, n_cells + 1)
         deltas = delta_grid(V, grid, k)
-        brackets = _delta_brackets(V, k, grid, deltas)
+        brackets = _delta_brackets(deltas)
         if brackets is not None:
             # verify against half step: a dip across a level and back inside
             # one cell is invisible to the endpoint test
@@ -168,14 +227,17 @@ def real_spectrum(V: Potential, k: float, R: float, tol: float = 1e-9,
             fdeltas = np.empty(fine.size)
             fdeltas[::2] = deltas
             fdeltas[1::2] = delta_grid(V, fine[1::2], k)
-            fbrackets = _delta_brackets(V, k, fine, fdeltas)
-            if fbrackets is not None and len(fbrackets) == len(brackets):
-                for lo, hi, level in fbrackets:
-                    g = brentq(lambda x: delta_v(V, x, k) - level, lo, hi,
-                               xtol=min(tol, 1e-12), rtol=8.9e-16)
-                    slope = abs(delta_v(V, g + 1e-6, k) - delta_v(V, g - 1e-6, k)) / 2e-6
-                    resid = abs(delta_v(V, g, k) - level) / max(slope, 1e-3)
-                    roots.append(Root(complex(g), resid, "delta-bisect"))
+            fbrackets = _delta_brackets(fdeltas)
+            if fbrackets is not None and len(fbrackets[0]) == len(brackets[0]):
+                cells, levels = fbrackets
+                g = _refine(lambda idx, x: delta_grid(V, x, k) - levels[idx],
+                            fine[cells], fine[cells + 1], fdeltas[cells] - levels,
+                            fdeltas[cells + 1] - levels, min(tol, 1e-12))
+                # certificate: |Delta - level| over a central-difference slope
+                h = 1e-6
+                minus, at, plus = np.split(delta_grid(V, np.concatenate([g - h, g, g + h]), k), 3)
+                resid = abs(at - levels) / np.maximum(abs(plus - minus) / (2 * h), 1e-3)
+                roots = [Root(complex(x), float(r), "delta-bisect") for x, r in zip(g, resid)]
                 return GammaSpectrum(_merge_sorted(roots), (0.0, R), k)
         step *= 0.5
     raise ScanStepTooCoarse(f"scan failed to stabilise down to step {step:.3e}")

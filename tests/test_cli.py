@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -205,3 +206,14 @@ def test_arithmetic_failure_exit_code(tmp_path, capsys):
         code, _, err = run(argv, capsys)
         assert code == 3
         assert err.startswith("numerical failure:")
+
+
+def test_unconverged_scan_fails_fast(capsys):
+    # the gap of 800 keeps three scan cells crossing two levels however far
+    # the step is halved; the scan stops at its cell cap instead of growing
+    start = time.perf_counter()
+    code, _, err = run(["spectrum", "--potential", "w:[-1,0,800,801]:1,0,1", "--k", "1",
+                        "--R", "10"], capsys)
+    assert code == 3
+    assert err.startswith("numerical failure:")
+    assert time.perf_counter() - start < 15.0

@@ -58,3 +58,12 @@ def test_single_sign_root_count_equals_levels(V, R):
     # (0, Delta(R)) is crossed exactly once
     levels = max(0, math.floor(delta_v(V, R, 1.0) / math.pi + 0.5))
     assert len(real_spectrum(V, 1.0, R, tol=1e-9).roots) == levels
+
+
+@PROPERTY
+@given(step_potentials(), st.floats(1.0, 60.0))
+def test_pipelines_agree_on_random_potentials(V, R):
+    delta = real_spectrum(V, 1.0, R, tol=1e-10).real_values()
+    det = real_spectrum(V, 1.0, R, tol=1e-10, method="determinant").real_values()
+    assert len(delta) == len(det)
+    assert all(abs(a - b) < 1e-8 for a, b in zip(delta, det))

@@ -199,6 +199,16 @@ def test_delta_grid_matches_scalar(sech_well):
             assert abs(d - delta_v(V, g, 1.0)) < 1e-9
 
 
+def test_vector_solve_does_not_depend_on_its_batch(sech_well):
+    # the analytic branch integrates a whole grid in one ODE solve, with its
+    # tolerances scaled to the batch size; a coupling's Delta must not move
+    for k in (1.0, 1.5):
+        for g in (0.7, 3.3, 5.9):
+            grid = np.sort(np.append(np.linspace(0.0, 6.0, 199), g))
+            batch = delta_grid(sech_well, grid, k)[np.searchsorted(grid, g)]
+            assert abs(batch - delta_v(sech_well, g, k)) < 1e-9
+
+
 def test_delta_curve_csv(tmp_path):
     V = square_bump()
     curve = delta_curve(V, [0.0, 1.0, 2.0], 1.0)

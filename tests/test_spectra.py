@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from zeromodes import spectra
 from zeromodes.errors import NonPositiveK, RegionTooSmall
 from zeromodes.potential import build_w, negate, translate
 from zeromodes.spectra import (
@@ -35,6 +36,52 @@ def test_delta_and_determinant_pipelines_agree():
         assert len(a.roots) == len(b.roots)
         if a.roots:
             assert max(abs(x - y) for x, y in zip(a.real_values(), b.real_values())) < 1e-9
+
+
+def test_level_on_a_scan_node_is_bracketed_once():
+    # the node value pi/2 is the level itself: exactly one of the two cells
+    # around the node owns it, whichever way Delta runs
+    half = math.pi / 2
+    for deltas in ([0.0, half, math.pi], [math.pi, half, 0.0], [0.0, half, 0.0]):
+        cells, levels = spectra._delta_brackets(np.array(deltas))
+        assert cells.tolist() == [0] and levels.tolist() == [half]
+    assert spectra._delta_brackets(np.array([0.0, 5.0])) is None  # crosses pi/2 and 3pi/2
+    # the refiner returns an end whose residual is exactly 0, without calling f
+    root = spectra._refine(None, np.array([0.0]), np.array([1.0]),
+                           np.array([-half]), np.array([0.0]), 1e-12)
+    assert root.tolist() == [1.0]
+
+
+def test_root_on_a_scan_node_is_found(monkeypatch):
+    # Delta = pi*gamma puts the level pi/2 on the node 0.5 of both the coarse
+    # (step 1/8) and the fine scan of [0, 1]
+    monkeypatch.setattr(spectra, "delta_grid", lambda V, g, k: math.pi * np.asarray(g))
+    sp = real_spectrum(square_bump(), 1.0, 1.0)
+    assert sp.real_values() == [0.5]
+    assert sp.roots[0].residual == 0.0
+
+
+def test_refinement_is_batched(monkeypatch):
+    # one Delta grid evaluation per refinement iteration over all brackets:
+    # four times the roots cost no more grid calls, and no scalar calls
+    counts = {"grid": 0, "scalar": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(spectra, "delta_grid", counted("grid", spectra.delta_grid))
+    monkeypatch.setattr(spectra, "delta_v", counted("scalar", spectra.delta_v))
+    calls, roots = [], []
+    for R in (150.0, 600.0):
+        counts.update(grid=0, scalar=0)
+        roots.append(len(real_spectrum(gap_pair(1.0, 2.0), 1.0, R, tol=1e-9).roots))
+        calls.append(counts["grid"])
+        assert counts["scalar"] == 0
+    assert roots[1] > 3.5 * roots[0]
+    assert abs(calls[1] - calls[0]) <= 2
 
 
 def test_antisymmetric_spectra_empty():
