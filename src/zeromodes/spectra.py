@@ -1,12 +1,14 @@
 """Eigenvalue enumeration: real scan/bisection, complex winding search,
 counting functions, and phase-grid export.
 
-Real couplings are located by scanning the matching defect Delta over a
-grid fine enough that a crossing of the half-integer-pi levels cannot slip
-between nodes (an a-priori slope heuristic, self-corrected by rescanning at
-half step until the bracket count stabilises), then refining all brackets
-at once by vectorised Illinois false position, one Delta grid evaluation
-per iteration.
+Real couplings are located by one scan -> bracket -> refine driver, shared
+by the defect pipeline (crossings of the half-integer-pi levels by the
+matching defect Delta) and the determinant pipeline (sign changes of the
+real matching determinant).  It scans a grid fine enough that a crossing
+cannot slip between nodes (an a-priori slope heuristic, self-corrected by
+rescanning at half step until the bracket count stabilises), then refines
+all brackets at once by vectorised Illinois false position, one grid
+evaluation per iteration.  trigzeros reuses the same refiner.
 Complex couplings of step potentials are located by tracking the phase
 winding of the matching determinant around rectangles, subdividing until
 small, then polishing with Newton.
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize import brentq  # noqa: F401  (wrapped by bench/tracing.py)
 
 from .closedform import determinant
 from .errors import (
@@ -50,14 +52,14 @@ __all__ = [
 ]
 
 _SEPARATION_FLOOR = 1e-7  # closer roots are merged as duplicates
-_MAX_SCAN_CELLS = 2**20  # a defect scan that needs a finer grid fails instead
+_MAX_SCAN_CELLS = 2**20  # a scan that needs a finer grid fails instead
 
 
 @dataclass(frozen=True)
 class Root:
     value: complex
     residual: float
-    method: str  # "delta-bisect", "determinant-brent", "winding-newton"
+    method: str  # "delta-bisect", "determinant-bisect", "winding-newton"
     multiplicity: int = 1
 
 
@@ -100,16 +102,21 @@ def _merge_sorted(roots: list[Root]) -> tuple[Root, ...]:
     return tuple(out)
 
 
-def _effective_diameter(V: Potential) -> float:
+def _scan_step(V: Potential, k: float) -> float:
+    """Coupling step over which the phase of a zero mode turns by at most
+    about pi/4: an a-priori slope heuristic from the potential's L1 norm
+    and effective diameter."""
+    l1 = l1_norm(V)
     if isinstance(V, PiecewiseConstantPotential):
         hull = V.support_hull()
-        return 0.0 if hull is None else hull[1] - hull[0]
-    # width containing 95% of the mass; enough for the scan-step heuristic
-    total = l1_norm(V)
-    W = 1.0
-    while tail_l1(V, W) > 0.05 * total and W < V.decay_hint:
-        W *= 2.0
-    return 2.0 * min(W, V.decay_hint)
+        diam = 0.0 if hull is None else hull[1] - hull[0]
+    else:
+        # width containing 95% of the mass
+        W = 1.0
+        while tail_l1(V, W) > 0.05 * l1 and W < V.decay_hint:
+            W *= 2.0
+        diam = 2.0 * min(W, V.decay_hint)
+    return math.pi / (4.0 * (1.1 * l1 + k * diam + 1e-12))
 
 
 def _levels_below(d: np.ndarray, strict: bool) -> np.ndarray:
@@ -142,6 +149,15 @@ def _delta_brackets(deltas: np.ndarray):
     return cells, (first[cells] + 0.5) * math.pi
 
 
+def _sign_brackets(values: np.ndarray):
+    """(cells, zeros) arrays in the layout of _delta_brackets, one entry per
+    sign change of values; a zero exactly at a node belongs to the cell on
+    its left."""
+    s = np.sign(values)
+    cells = np.nonzero((s[:-1] * s[1:] < 0) | ((s[1:] == 0) & (s[:-1] != 0)))[0]
+    return cells, np.zeros(cells.size)
+
+
 def _refine(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: np.ndarray,
             hi: np.ndarray, flo: np.ndarray, fhi: np.ndarray, xtol: float) -> np.ndarray:
     """Roots of f in all brackets [lo, hi] at once.
@@ -150,8 +166,10 @@ def _refine(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: np.ndarray,
     flo and fhi are the residuals already known at the ends, of opposite
     signs unless one is exactly 0, in which case that end is the root.
     Each iteration makes one call to f on the brackets still open: an
-    Illinois false-position point, kept at least xtol/4 inside the bracket,
-    or the midpoint when the bracket has not halved in three iterations.  A
+    Illinois false-position point, kept inside the bracket by xtol/4 or two
+    float spacings of its ends, whichever is larger (so that it never
+    rounds onto an end), or the midpoint when the bracket has not halved in
+    three iterations.  A
     bracket closes when f vanishes at the new point, which is then its
     root, or when it is narrower than xtol (plus four ulps of its ends);
     its root is then the false-position point of its end residuals.
@@ -171,7 +189,8 @@ def _refine(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: np.ndarray,
             return root
         ai, bi, wi = a[idx], b[idx], w[idx]
         fai, fbi = sa[idx] * fa[idx], sb[idx] * fb[idx]
-        x = np.clip(bi - fbi * wi / (fbi - fai), ai + 0.25 * xtol, bi - 0.25 * xtol)
+        margin = np.maximum(0.25 * xtol, 2.0 * np.spacing(np.maximum(abs(ai), abs(bi))))
+        x = np.clip(bi - fbi * wi / (fbi - fai), ai + margin, bi - margin)
         stalled = wi > 0.5 * width[0, idx]
         x[stalled] = 0.5 * (ai + bi)[stalled]
         width[:-1, idx] = width[1:, idx]
@@ -192,10 +211,11 @@ def real_spectrum(V: Potential, k: float, R: float, tol: float = 1e-9,
                   method: str = "delta") -> GammaSpectrum:
     """All real couplings in [0, R] admitting a confined zero mode.
 
-    method "delta" scans the matching defect and refines every bracket in
-    one batch (works for every potential); "determinant" brackets sign
-    changes of the real matching determinant (step potentials only) and
-    serves as the independent cross-check pipeline.
+    method "delta" scans the matching defect for crossings of the levels
+    (n + 1/2)*pi (works for every potential); "determinant" scans the real
+    matching determinant for sign changes (step potentials only) and serves
+    as the independent cross-check pipeline.  Both share the scan, the
+    batched refinement and the residual certificate.
     """
     if k <= 0:
         raise NonPositiveK("k must be positive")
@@ -204,72 +224,47 @@ def real_spectrum(V: Potential, k: float, R: float, tol: float = 1e-9,
     if isinstance(V, PiecewiseConstantPotential) and V.support_hull() is None:
         return GammaSpectrum((), (0.0, R), k)
 
-    if method == "determinant":
-        return _real_spectrum_determinant(V, k, R, tol)
-    if method != "delta":
+    if method == "delta":
+        values = lambda g: delta_grid(V, g, k)
+        brackets, slope_floor = _delta_brackets, 1e-3
+    elif method == "determinant":
+        if not isinstance(V, PiecewiseConstantPotential):
+            raise TrivialPotential("determinant pipeline needs a step potential")
+        # one closed-form evaluation per point: shares no kernel with Delta
+        values = lambda g: np.array([determinant(V, x, k).real for x in g])
+        brackets, slope_floor = _sign_brackets, 1e-30
+    else:
         raise ValueError(f"unknown method {method!r}")
 
-    diam = _effective_diameter(V)
-    step = math.pi / (4.0 * (1.1 * l1_norm(V) + k * diam + 1e-12))
-    step = min(step, R / 8.0)
-
+    step = min(_scan_step(V, k), R / 8.0)
     for attempt in range(14):
         n_cells = int(math.ceil(R / step))
         if 2 * n_cells > _MAX_SCAN_CELLS:
             break
         grid = np.linspace(0.0, R, n_cells + 1)
-        deltas = delta_grid(V, grid, k)
-        brackets = _delta_brackets(deltas)
-        if brackets is not None:
+        vals = values(grid)
+        coarse = brackets(vals)
+        if coarse is not None:
             # verify against half step: a dip across a level and back inside
             # one cell is invisible to the endpoint test
             fine = np.linspace(0.0, R, 2 * n_cells + 1)
-            fdeltas = np.empty(fine.size)
-            fdeltas[::2] = deltas
-            fdeltas[1::2] = delta_grid(V, fine[1::2], k)
-            fbrackets = _delta_brackets(fdeltas)
-            if fbrackets is not None and len(fbrackets[0]) == len(brackets[0]):
-                cells, levels = fbrackets
-                g = _refine(lambda idx, x: delta_grid(V, x, k) - levels[idx],
-                            fine[cells], fine[cells + 1], fdeltas[cells] - levels,
-                            fdeltas[cells + 1] - levels, min(tol, 1e-12))
-                # certificate: |Delta - level| over a central-difference slope
+            fvals = np.empty(fine.size)
+            fvals[::2] = vals
+            fvals[1::2] = values(fine[1::2])
+            found = brackets(fvals)
+            if found is not None and len(found[0]) == len(coarse[0]):
+                cells, levels = found
+                g = _refine(lambda idx, x: values(x) - levels[idx],
+                            fine[cells], fine[cells + 1], fvals[cells] - levels,
+                            fvals[cells + 1] - levels, min(tol, 1e-12))
+                # certificate: distance to the level over a central-difference slope
                 h = 1e-6
-                minus, at, plus = np.split(delta_grid(V, np.concatenate([g - h, g, g + h]), k), 3)
-                resid = abs(at - levels) / np.maximum(abs(plus - minus) / (2 * h), 1e-3)
-                roots = [Root(complex(x), float(r), "delta-bisect") for x, r in zip(g, resid)]
+                minus, at, plus = np.split(values(np.concatenate([g - h, g, g + h])), 3)
+                resid = abs(at - levels) / np.maximum(abs(plus - minus) / (2 * h), slope_floor)
+                roots = [Root(complex(x), float(r), f"{method}-bisect") for x, r in zip(g, resid)]
                 return GammaSpectrum(_merge_sorted(roots), (0.0, R), k)
         step *= 0.5
     raise ScanStepTooCoarse(f"scan failed to stabilise down to step {step:.3e}")
-
-
-def _real_spectrum_determinant(V, k, R, tol) -> GammaSpectrum:
-    if not isinstance(V, PiecewiseConstantPotential):
-        raise TrivialPotential("determinant pipeline needs a step potential")
-    D = lambda g: determinant(V, g, k).real
-    diam = _effective_diameter(V)
-    step = math.pi / (4.0 * (1.1 * l1_norm(V) + k * diam + 1e-12))
-    step = min(step, R / 8.0)
-    roots: list[Root] = []
-    for attempt in range(14):
-        n_cells = int(math.ceil(R / step))
-        grid = np.linspace(0.0, R, n_cells + 1)
-        vals = np.array([D(g) for g in grid])
-        idx = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-        fine = np.linspace(0.0, R, 2 * n_cells + 1)
-        fvals = np.empty(fine.size)
-        fvals[::2] = vals
-        fvals[1::2] = np.array([D(g) for g in fine[1::2]])
-        fidx = np.nonzero(np.sign(fvals[:-1]) * np.sign(fvals[1:]) < 0)[0]
-        if len(fidx) == len(idx):
-            for i in fidx:
-                g = brentq(D, fine[i], fine[i + 1], xtol=min(tol, 1e-12), rtol=8.9e-16)
-                slope = abs(D(g + 1e-6) - D(g - 1e-6)) / 2e-6
-                resid = abs(D(g)) / max(slope, 1e-30)
-                roots.append(Root(complex(g), resid, "determinant-brent"))
-            return GammaSpectrum(_merge_sorted(roots), (0.0, R), k)
-        step *= 0.5
-    raise ScanStepTooCoarse(f"determinant scan failed to stabilise at step {step:.3e}")
 
 
 def counting_function(spectrum: GammaSpectrum, R: float) -> int:
@@ -423,8 +418,7 @@ def complex_spectrum(V: PiecewiseConstantPotential, k: float,
     if not (x1 > x0 and y1 > y0):
         raise ValueError("rectangle must have positive area")
     fun = lambda z: determinant(V, z, k)
-    diam = _effective_diameter(V)
-    h0 = min(1.0, math.pi / (4.0 * (1.1 * l1_norm(V) + k * diam + 1e-12)))
+    h0 = min(1.0, _scan_step(V, k))
 
     nudge = 0.0
     for attempt in range(4):

@@ -3,7 +3,8 @@
 This is the elementary model problem behind the one-gap counting law: the
 asymptotic zero density of f equals A(alpha, beta) / pi, with an exact
 finite-sum expression when beta is rational.  brute_count enumerates zeros
-directly (sign scan plus bracketed bisection, with near-tangential dips
+directly (a sign scan whose crossings are refined all at once by the
+batched false-position refiner of spectra, with near-tangential dips
 refined by local minimization) and serves as the independent oracle for
 the closed-form densities.
 """
@@ -18,6 +19,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from .errors import DegenerateEndpoint, NotCoprime, OutOfDomain, UnresolvedCell
+from .spectra import _refine
 
 __all__ = [
     "Perturbation",
@@ -193,7 +195,7 @@ def _max_grid_step(beta: float) -> float:
 
 
 def scan_zeros(params: TrigParams, lo: float, hi: float, grid_step: float) -> ZeroScan:
-    """Sign-change scan with bracketed bisection on [lo, hi].
+    """Sign-change scan with batched bracketed refinement on [lo, hi].
 
     The grid is oversampled at an eighth of the caller's step.  Cells whose
     endpoint values agree in sign but dip near zero are refined by bounded
@@ -213,7 +215,6 @@ def scan_zeros(params: TrigParams, lo: float, hi: float, grid_step: float) -> Ze
     vals = np.asarray(f_value(params, xs), dtype=float)
 
     roots: list[float] = []
-    tangential: list[float] = []
 
     # exact grid hits (measure zero, but cheap to honour)
     zero_nodes = np.nonzero(vals == 0.0)[0]
@@ -222,21 +223,20 @@ def scan_zeros(params: TrigParams, lo: float, hi: float, grid_step: float) -> Ze
 
     sgn = np.sign(vals)
     crossing = (sgn[:-1] * sgn[1:]) < 0
-    scalar_f = lambda x: float(f_value(params, x))
-    for i in np.nonzero(crossing)[0]:
-        r = brentq(scalar_f, xs[i], xs[i + 1], xtol=1e-12, rtol=8.9e-16)
-        roots.append(r)
-        if tangency_test(params, r):
-            tangential.append(r)
+    cells = np.nonzero(crossing)[0]
+    found = _refine(lambda idx, x: f_value(params, x), xs[cells], xs[cells + 1],
+                    vals[cells], vals[cells + 1], 1e-12)
+    roots.extend(found.tolist())
+    tangential = tuple(found[energy(params, found) < _TANGENT_ENERGY].tolist())
 
     # near-tangential dips: interior |f| minima below the curvature scale,
     # away from any sign change
     curv = 1.0 + params.alpha * params.beta ** 2
     tau = 4.0 * h * h * curv
     av = np.abs(vals)
-    interior = np.arange(1, n)
-    cand = interior[(av[interior] <= av[interior - 1]) & (av[interior] <= av[interior + 1])
-                    & (av[interior] < tau) & (vals[interior] != 0.0)]
+    mid = av[1:-1]
+    cand = 1 + np.nonzero((mid <= av[:-2]) & (mid <= av[2:]) & (mid < tau)
+                          & (vals[1:-1] != 0.0))[0]
     noise = _DIP_NOISE * (1.0 + params.alpha)
     for i in cand:
         if crossing[i - 1] or crossing[i]:
@@ -262,7 +262,7 @@ def scan_zeros(params: TrigParams, lo: float, hi: float, grid_step: float) -> Ze
         if out and r - out[-1] < 1e-9:
             continue
         out.append(r)
-    return ZeroScan(np.array(out), tuple(tangential))
+    return ZeroScan(np.array(out), tangential)
 
 
 def brute_count(params: TrigParams, R: float, grid_step: float) -> int:

@@ -5,7 +5,7 @@ from itertools import accumulate
 
 from hypothesis import given, settings, strategies as st
 
-from zeromodes.potential import build_w, l1_norm, translate
+from zeromodes.potential import build_w, l1_norm, mirror, negate, translate
 from zeromodes.prufer import PruferState, delta_v, propagate, tail_angle_bound
 from zeromodes.spectra import real_spectrum
 
@@ -67,3 +67,14 @@ def test_pipelines_agree_on_random_potentials(V, R):
     det = real_spectrum(V, 1.0, R, tol=1e-10, method="determinant").real_values()
     assert len(delta) == len(det)
     assert all(abs(a - b) < 1e-8 for a, b in zip(delta, det))
+
+
+@PROPERTY
+@given(step_potentials(), st.floats(1.0, 60.0), st.floats(-10.0, 10.0))
+def test_real_spectrum_invariant_under_symmetries(V, R, shift):
+    # mirroring, negating or translating V preserves the couplings
+    base = real_spectrum(V, 1.0, R, tol=1e-10).real_values()
+    for W in (mirror(V), negate(V), translate(V, shift)):
+        other = real_spectrum(W, 1.0, R, tol=1e-10).real_values()
+        assert len(other) == len(base)
+        assert all(abs(a - b) < 1e-9 for a, b in zip(base, other))

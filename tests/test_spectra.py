@@ -53,12 +53,14 @@ def test_level_on_a_scan_node_is_bracketed_once():
 
 
 def test_root_on_a_scan_node_is_found(monkeypatch):
-    # Delta = pi*gamma puts the level pi/2 on the node 0.5 of both the coarse
-    # (step 1/8) and the fine scan of [0, 1]
+    # Delta = pi*gamma puts the level pi/2, and D = gamma - 1/2 its zero, on
+    # the node 0.5 of both the coarse (step 1/8) and the fine scan of [0, 1]
     monkeypatch.setattr(spectra, "delta_grid", lambda V, g, k: math.pi * np.asarray(g))
-    sp = real_spectrum(square_bump(), 1.0, 1.0)
-    assert sp.real_values() == [0.5]
-    assert sp.roots[0].residual == 0.0
+    monkeypatch.setattr(spectra, "determinant", lambda V, g, k: complex(g - 0.5))
+    for method in ("delta", "determinant"):
+        sp = real_spectrum(square_bump(), 1.0, 1.0, method=method)
+        assert sp.real_values() == [0.5]
+        assert sp.roots[0].residual == 0.0
 
 
 def test_refinement_is_batched(monkeypatch):
@@ -75,13 +77,16 @@ def test_refinement_is_batched(monkeypatch):
     monkeypatch.setattr(spectra, "delta_grid", counted("grid", spectra.delta_grid))
     monkeypatch.setattr(spectra, "delta_v", counted("scalar", spectra.delta_v))
     calls, roots = [], []
-    for R in (150.0, 600.0):
+    # R = 6000 puts roots past |gamma| = 2048, where xtol/4 is below one
+    # float spacing and the false-position point must still leave the ends
+    for R in (150.0, 600.0, 6000.0):
         counts.update(grid=0, scalar=0)
         roots.append(len(real_spectrum(gap_pair(1.0, 2.0), 1.0, R, tol=1e-9).roots))
         calls.append(counts["grid"])
         assert counts["scalar"] == 0
-    assert roots[1] > 3.5 * roots[0]
-    assert abs(calls[1] - calls[0]) <= 2
+    for i in range(len(roots) - 1):
+        assert roots[i + 1] > 3.5 * roots[i]
+        assert abs(calls[i + 1] - calls[0]) <= 2
 
 
 def test_antisymmetric_spectra_empty():
