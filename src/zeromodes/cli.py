@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import asymptotics, potential, prufer, spectra
+from . import asymptotics, closedform, potential, prufer, spectra
 from .errors import UnknownExample, ZeromodesError
 
 __all__ = ["main", "parse_potential", "reproduce_example"]
@@ -186,8 +186,7 @@ def _square_bump_bundle(outdir: Path, k: float = 1.0) -> list[str]:
     sp = spectra.real_spectrum(V, k, 20.0, tol=1e-10)
     _write_roots(sp, outdir / "2.1_roots.jsonl")
     gs = np.linspace(0.0, 20.0, 801)
-    from .closedform import determinant
-    rows = [(g, determinant(V, g, k).real) for g in gs]
+    rows = zip(gs, closedform.determinant(V, gs, k).real)
     _write_curve_csv(outdir / "2.1_determinant.csv", "gamma,det", rows)
     grid = spectra.phase_grid(V, k, (-20.0, 20.0, -4.0, 4.0), 240, 96)
     grid.to_ppm(outdir / "2.1_phase.ppm")
@@ -196,7 +195,6 @@ def _square_bump_bundle(outdir: Path, k: float = 1.0) -> list[str]:
 
 
 def _antisymmetric_bundle(outdir: Path, k: float = 1.0) -> list[str]:
-    from .closedform import determinant
     written = []
     for g in (0.0, 1.0):
         if g == 0.0:
@@ -205,7 +203,7 @@ def _antisymmetric_bundle(outdir: Path, k: float = 1.0) -> list[str]:
             V = potential.build_w([-1.0 - g / 2, -g / 2, g / 2, g / 2 + 1.0], [-1.0, 0.0, 1.0])
         tag = f"2.2_g{g:g}"
         gs = np.linspace(0.0, 30.0, 1201)
-        rows = [(x, determinant(V, x, k).real) for x in gs]
+        rows = zip(gs, closedform.determinant(V, gs, k).real)
         _write_curve_csv(outdir / f"{tag}_determinant.csv", "gamma,det", rows)
         rect = (5.0, 30.0, 0.2, 3.0)
         cs = spectra.complex_spectrum(V, k, rect, tol=1e-10)

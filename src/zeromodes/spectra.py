@@ -9,9 +9,9 @@ cannot slip between nodes (an a-priori slope heuristic, self-corrected by
 rescanning at half step until the bracket count stabilises), then refines
 all brackets at once by vectorised Illinois false position, one grid
 evaluation per iteration.  trigzeros reuses the same refiner.
-Complex couplings of step potentials are located by tracking the phase
-winding of the matching determinant around rectangles, subdividing until
-small, then polishing with Newton.
+Complex couplings of step potentials are located by the phase winding of
+the matching determinant around rectangles (new contour points go to the
+array kernel in batches, through one cache per search), then by Newton.
 """
 
 from __future__ import annotations
@@ -230,8 +230,8 @@ def real_spectrum(V: Potential, k: float, R: float, tol: float = 1e-9,
     elif method == "determinant":
         if not isinstance(V, PiecewiseConstantPotential):
             raise TrivialPotential("determinant pipeline needs a step potential")
-        # one closed-form evaluation per point: shares no kernel with Delta
-        values = lambda g: np.array([determinant(V, x, k).real for x in g])
+        # the closed-form matching determinant: shares no kernel with Delta
+        values = lambda g: determinant(V, g, k).real
         brackets, slope_floor = _sign_brackets, 1e-30
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -279,108 +279,119 @@ def counting_function(spectrum: GammaSpectrum, R: float) -> int:
 
 
 class _ArgTracker:
-    """Continuous-argument accumulator for D along boundary polylines.
+    """Continuous-argument accumulator for D along closed polylines, with
+    one evaluation cache for a whole search.
 
     A principal-value argument step is only trustworthy on segments short
     enough that the true phase cannot alias by a full turn, so segments are
-    subdivided until the step is below pi/2 *and* the magnitude ratio stays
+    halved until the step is below pi/2 *and* the magnitude ratio stays
     moderate; callers additionally pre-split edges at the phase scale set by
-    the potential.
+    the potential.  fun maps an array of couplings to an array of D values;
+    the points not yet in the cache go to it in one call.
     """
 
-    def __init__(self, fun: Callable[[complex], complex]):
+    def __init__(self, fun: Callable[[np.ndarray], np.ndarray]):
         self.fun = fun
         self.cache: dict[complex, complex] = {}
-        self.min_abs = math.inf
-        self.max_abs = 0.0
 
-    def __call__(self, z: complex) -> complex:
-        v = self.cache.get(z)
-        if v is None:
-            v = self.fun(z)
-            self.cache[z] = v
-            a = abs(v)
-            self.min_abs = min(self.min_abs, a)
-            self.max_abs = max(self.max_abs, a)
-        return v
+    def __call__(self, zs: np.ndarray) -> np.ndarray:
+        keys = zs.tolist()
+        new = [z for z in dict.fromkeys(keys) if z not in self.cache]
+        if new:
+            vals = self.fun(np.array(new))
+            zero = np.flatnonzero(vals == 0)
+            if zero.size:
+                raise BoundaryRoot(f"determinant vanishes on the contour near {new[zero[0]]}")
+            self.cache.update(zip(new, vals.tolist()))
+        return np.array([self.cache[z] for z in keys])
 
-    def arg_change(self, z0: complex, z1: complex, depth: int = 0) -> float:
-        v0, v1 = self(z0), self(z1)
-        if v0 == 0 or v1 == 0:
-            raise BoundaryRoot(f"determinant vanishes on the contour near {z0}")
-        r = v1 / v0
-        dphi = math.atan2(r.imag, r.real)
-        if abs(dphi) < math.pi / 2 and 0.2 < abs(r) < 5.0:
-            return dphi
-        if depth > 48:
-            raise BoundaryRoot(f"argument tracking failed near {z0} (suspected boundary root)")
-        zm = 0.5 * (z0 + z1)
-        return self.arg_change(z0, zm, depth + 1) + self.arg_change(zm, z1, depth + 1)
-
-    def polyline_arg_change(self, z0: complex, z1: complex, h0: float) -> float:
-        """Argument change along [z0, z1], pre-split at phase scale h0."""
-        n = max(1, math.ceil(abs(z1 - z0) / h0))
+    def arg_change(self, zs: np.ndarray) -> float:
+        """Argument change along the polyline through zs.  The segments that
+        fail the step tests are halved together; one that still fails after
+        49 halvings raises."""
+        vals = self(zs)
+        a, b, va, vb = zs[:-1], zs[1:], vals[:-1], vals[1:]
         total = 0.0
-        prev = z0
-        for j in range(1, n + 1):
-            nxt = z0 + (z1 - z0) * (j / n)
-            total += self.arg_change(prev, nxt)
-            prev = nxt
-        return total
+        for _ in range(50):
+            r = vb / va
+            dphi = np.arctan2(r.imag, r.real)
+            ok = (abs(dphi) < math.pi / 2) & (abs(r) > 0.2) & (abs(r) < 5.0)
+            total += float(dphi[ok].sum())
+            if ok.all():
+                return total
+            a, b, va, vb = a[~ok], b[~ok], va[~ok], vb[~ok]
+            m = 0.5 * (a + b)
+            vm = self(m)
+            a, b = np.concatenate([a, m]), np.concatenate([m, b])
+            va, vb = np.concatenate([va, vm]), np.concatenate([vm, vb])
+        raise BoundaryRoot(f"argument tracking failed near {a[0]} (suspected boundary root)")
 
 
 def _rect_winding(tracker: _ArgTracker, rect: tuple[float, float, float, float],
                   h0: float) -> int:
+    """Winding of D around rect.  Each edge is pre-split at phase scale h0
+    from its lower-left end, so boxes sharing an edge share its nodes."""
     x0, x1, y0, y1 = rect
     corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
-    total = 0.0
-    for a, b in zip(corners, corners[1:] + corners[:1]):
-        total += tracker.polyline_arg_change(a, b, h0)
-    w = total / math.tau
+    nodes = []
+    for p, q in zip(corners, corners[1:] + corners[:1]):
+        lo, hi = sorted((p, q), key=lambda z: (z.real, z.imag))
+        n = max(1, math.ceil(abs(q - p) / h0))
+        edge = lo + (hi - lo) * (np.arange(n + 1) / n)
+        edge[0], edge[-1] = lo, hi
+        nodes.append(edge[:-1] if lo == p else edge[:0:-1])  # from p, without q
+    nodes.append(corners[:1])
+    w = tracker.arg_change(np.concatenate(nodes)) / math.tau
     if abs(w - round(w)) > 0.25:
         raise WindingMismatch(f"non-integer winding {w:.3f} on {rect}")
     return int(round(w))
 
 
-def _newton_polish(fun, z: complex, tol: float) -> tuple[complex, float]:
-    h = 1e-7
-    for _ in range(80):
-        f0 = fun(z)
-        d = (fun(z + h) - fun(z - h)) / (2 * h)
-        if d == 0:
+def _newton_polish(fun, z: complex, tol: float,
+                   region: tuple[float, float, float, float]) -> tuple[complex, float]:
+    """Newton from z with a central-difference derivative, D at z - h, z and
+    z + h in one call.  The residual is the size of one extra step after
+    convergence, or inf when an iterate leaves region (outside the traced
+    contour D may overflow)."""
+    x0, x1, y0, y1 = region
+    h, step, converged = 1e-7, math.inf, False
+    for _ in range(81):
+        fm, f0, fp = fun(np.array([z - h, z, z + h])).tolist()
+        d = (fp - fm) / (2 * h)
+        if d == 0 and not converged:
             break
-        step = f0 / d
+        step = f0 / d if d != 0 else step
         z = z - step
-        if abs(step) < 0.25 * tol:
-            # one extra step as the certificate
-            f0 = fun(z)
-            d = (fun(z + h) - fun(z - h)) / (2 * h)
-            step = f0 / d if d != 0 else step
-            z = z - step
+        if converged:  # the extra step is the certificate
             return z, abs(step)
+        if not (x0 <= z.real <= x1 and y0 <= z.imag <= y1):
+            break
+        converged = abs(step) < 0.25 * tol
     return z, math.inf
 
 
-def _subdivide(fun, rect, tol, h0, found: list[tuple[complex, float, int]], depth: int = 0):
-    tracker = _ArgTracker(fun)
+def _subdivide(tracker: _ArgTracker, rect, region, tol, h0,
+               found: list[tuple[complex, float, int]], depth: int = 0):
     w = _rect_winding(tracker, rect, h0)
     if w == 0:
         return 0
     x0, x1, y0, y1 = rect
     diam = math.hypot(x1 - x0, y1 - y0)
-    if diam < 1e-3 or depth > 60:
-        z0 = complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))
-        z, resid = _newton_polish(fun, z0, tol)
-        if resid > tol or abs(z - z0) > 10 * diam:
+    if w == 1 or diam < 1e-3 or depth > 60:
+        zc = complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))
+        z, resid = _newton_polish(tracker.fun, zc, tol, region)
+        # a box that winds once holds exactly one root: Newton must land inside it
+        near = (x0 < z.real < x1 and y0 < z.imag < y1) if w == 1 else abs(z - zc) <= 10 * diam
+        if resid > tol or not near:
             if diam > 1e-9:  # keep squeezing the box around a stubborn root
-                return _quadrisect(fun, rect, tol, h0, found, depth)
-            z, resid = z0, diam
+                return _quadrisect(tracker, rect, region, tol, h0, found, depth)
+            z, resid = zc, diam
         found.append((z, resid, w))
         return w
-    return _quadrisect(fun, rect, tol, h0, found, depth)
+    return _quadrisect(tracker, rect, region, tol, h0, found, depth)
 
 
-def _quadrisect(fun, rect, tol, h0, found, depth):
+def _quadrisect(tracker, rect, region, tol, h0, found, depth):
     x0, x1, y0, y1 = rect
     # offset fractions dodge roots sitting exactly on a midline
     for frac in (0.5, 0.5 + 0.013, 0.5 - 0.029):
@@ -391,7 +402,7 @@ def _quadrisect(fun, rect, tol, h0, found, depth):
         try:
             total = 0
             for q in quads:
-                total += _subdivide(fun, q, tol, h0, found, depth + 1)
+                total += _subdivide(tracker, q, region, tol, h0, found, depth + 1)
             return total
         except (BoundaryRoot, WindingMismatch):
             # retry with shifted split lines; drop roots from the failed pass
@@ -406,11 +417,13 @@ def complex_spectrum(V: PiecewiseConstantPotential, k: float,
     """Couplings inside a complex rectangle (re_min, re_max, im_min, im_max).
 
     The boundary winding number of the matching determinant is tracked with
-    adaptive argument subdivision; rectangles that wind are quadrisected
-    down to small diameter and polished with Newton.  The number of roots
-    returned (with multiplicity) always equals the top-level winding; any
-    mismatch raises instead of silently dropping a root.  A root too close
-    to the boundary triggers an automatic 1e-6 outward nudge.
+    adaptive argument subdivision through one evaluation cache.  A box that
+    winds once is polished with Newton from its centre, and quadrisected if
+    Newton leaves it; other winding boxes are quadrisected down to small
+    diameter first.  The number of roots returned (with multiplicity) always
+    equals the top-level winding; any mismatch raises instead of silently
+    dropping a root.  A root too close to the boundary triggers an automatic
+    1e-6 outward nudge.
     """
     if k <= 0:
         raise NonPositiveK("k must be positive")
@@ -426,10 +439,12 @@ def complex_spectrum(V: PiecewiseConstantPotential, k: float,
         tracker = _ArgTracker(fun)
         try:
             top = _rect_winding(tracker, rect, h0)
-            if tracker.min_abs < 1e-12 * tracker.max_abs:
+            # the cache holds the top contour's values only, until _subdivide
+            mags = abs(np.array(list(tracker.cache.values())))
+            if mags.min() < 1e-12 * mags.max():
                 raise BoundaryRoot("determinant nearly vanishes on the boundary")
             found: list[tuple[complex, float, int]] = []
-            got = _subdivide(fun, rect, tol, h0, found)
+            got = _subdivide(tracker, rect, rect, tol, h0, found)
             if got != top:
                 raise WindingMismatch(f"found {got} roots but boundary winds {top}")
             roots = [Root(z, resid, "winding-newton", mult) for z, resid, mult in found]
@@ -462,11 +477,12 @@ class PhaseGrid:
 
     def to_csv(self, path) -> None:
         xs, ys = self.cell_centers()
+        res = [repr(x) for x in xs.tolist()]
         with open(path, "w") as fh:
             fh.write("re,im,arg\n")
-            for j, y in enumerate(ys):
-                for i, x in enumerate(xs):
-                    fh.write(f"{float(x)!r},{float(y)!r},{float(self.arg_values[j, i])!r}\n")
+            for y, row in zip(ys.tolist(), self.arg_values):
+                im = repr(y)
+                fh.write("".join(f"{re},{im},{a!r}\n" for re, a in zip(res, row.tolist())))
 
     def to_ppm(self, path) -> None:
         """Binary P6 pixmap with the periodic hue map hue = (arg + pi) / 2pi,
@@ -507,8 +523,7 @@ def phase_grid(V: PiecewiseConstantPotential, k: float,
     xs = x0 + (np.arange(nx) + 0.5) * (x1 - x0) / nx
     ys = y0 + (np.arange(ny) + 0.5) * (y1 - y0) / ny
     args = np.empty((ny, nx))
-    for j, y in enumerate(ys):
-        for i, x in enumerate(xs):
-            d = determinant(V, complex(x, y), k)
-            args[j, i] = math.atan2(d.imag, d.real)
+    for j, y in enumerate(ys):  # one call per row keeps the peak memory flat
+        d = determinant(V, xs + 1j * y, k)
+        args[j] = np.arctan2(d.imag, d.real)
     return PhaseGrid((x0, x1, y0, y1), nx, ny, args)

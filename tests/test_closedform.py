@@ -7,8 +7,6 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from zeromodes.closedform import (
-    SpinorState,
-    compose,
     determinant,
     gap_angle_relation_check,
     piece_transfer,
@@ -68,8 +66,8 @@ def test_semigroup_property():
         g = complex(rng.uniform(-5, 5), rng.uniform(-2, 2))
         k = rng.uniform(0.5, 2.0)
         whole = piece_transfer(v, L, g, k)
-        halves = compose(piece_transfer(v, L / 2, g, k), piece_transfer(v, L / 2, g, k))
-        assert np.allclose(whole.m, halves.m, rtol=1e-12, atol=1e-12)
+        halves = piece_transfer(v, L / 2, g, k).m @ piece_transfer(v, L / 2, g, k).m
+        assert np.allclose(whole.m, halves, rtol=1e-12, atol=1e-12)
 
 
 def test_transfer_unimodular():
@@ -85,8 +83,8 @@ def test_transfer_unimodular():
 
 def test_transfer_apply():
     t = piece_transfer(0.0, 1.0, 2.0, 1.0)
-    s = t.apply(SpinorState(1.0, 1.0, 0.0))
-    assert abs(s.psi1 - math.e) < 1e-12 and abs(s.psi2 - math.e) < 1e-12
+    psi1, psi2 = t.m @ np.array([1.0, 1.0])
+    assert abs(psi1 - math.e) < 1e-12 and abs(psi2 - math.e) < 1e-12
 
 
 def test_series_seam_is_continuous():
@@ -104,6 +102,65 @@ def test_series_seam_is_continuous():
     t = piece_transfer(1.0, 2.0, 1.0, 1.0)
     assert abs(t.det() - 1.0) < 1e-12
     assert np.allclose(t.m, [[1.0, 0.0], [4.0, 1.0]], atol=1e-14)
+
+
+def transfer_product(V, gamma, k):
+    """D(gamma) as psi1 + psi2 of (1, 1) pushed through the product of
+    piece_transfer matrices, one point at a time and without rescaling."""
+    p = np.array([1.0 + 0j, 1.0 + 0j])
+    a = V.breakpoints
+    for j, v in enumerate(V.values):
+        p = piece_transfer(v, a[j + 1] - a[j], gamma, k).m @ p
+    return p[0] + p[1], np.max(np.abs(p))
+
+
+KERNEL_CASES = [
+    antisymmetric_pair(0.0),
+    antisymmetric_pair(1.0),
+    square_bump(),
+    build_w([-2.0, -0.5, 0.0, 1.2, 3.0], [2.0, -1.5, 0.0, 0.7]),
+]
+
+
+def test_array_kernel_matches_transfer_product():
+    rng = np.random.RandomState(17)
+    for V in KERNEL_CASES:
+        for k in (1.0, 1.7):
+            # |gamma v| = k on every piece, plus random couplings
+            edge = [s * k / abs(v) for v in V.values if v != 0.0 for s in (1.0, -1.0)]
+            zs = np.concatenate([edge, rng.uniform(-60, 60, 40) + 1j * rng.uniform(-4, 4, 40),
+                                 rng.uniform(-3, 3, 20)])
+            got = determinant(V, zs, k)
+            assert got.shape == zs.shape
+            for z, d in zip(zs, got):
+                ref, size = transfer_product(V, complex(z), k)
+                assert abs(d - ref) <= 1e-12 * max(abs(ref), size)
+
+
+def test_scalar_call_is_the_array_kernel():
+    rng = np.random.RandomState(23)
+    for V in KERNEL_CASES:
+        zs = rng.uniform(-30, 30, 25) + 1j * rng.uniform(-3, 3, 25)
+        got = determinant(V, zs, 1.0)
+        for z, d in zip(zs, got):
+            one = determinant(V, complex(z), 1.0)
+            assert type(one) is complex and one == d
+
+
+def test_rescale_keeps_the_phase_and_leaves_other_couplings_alone():
+    # cos(2w) ~ exp(2 Im gamma) passes 1e200 on the unit bump at Im gamma = 240
+    V = square_bump()
+    zs = np.array([1.0 + 0.5j, 3.0 + 240.0j, 2.0 + 1.0j, -4.0 - 245.0j])
+    got = determinant(V, zs, 1.0)
+    for z, d in zip(zs, got):
+        ref, size = transfer_product(V, complex(z), 1.0)
+        if size > 1e200:
+            assert abs(d) < 1e-150 * abs(ref)  # rescaled by a positive factor
+            ratio = d / ref
+            assert ratio.real > 0 and abs(ratio.imag) < 1e-12 * ratio.real
+        else:
+            assert abs(d - ref) <= 1e-12 * size
+    assert sum(transfer_product(V, complex(z), 1.0)[1] > 1e200 for z in zs) == 2
 
 
 def test_determinant_matches_printed_zero_set():

@@ -56,7 +56,7 @@ def test_root_on_a_scan_node_is_found(monkeypatch):
     # Delta = pi*gamma puts the level pi/2, and D = gamma - 1/2 its zero, on
     # the node 0.5 of both the coarse (step 1/8) and the fine scan of [0, 1]
     monkeypatch.setattr(spectra, "delta_grid", lambda V, g, k: math.pi * np.asarray(g))
-    monkeypatch.setattr(spectra, "determinant", lambda V, g, k: complex(g - 0.5))
+    monkeypatch.setattr(spectra, "determinant", lambda V, g, k: np.asarray(g) - 0.5 + 0j)
     for method in ("delta", "determinant"):
         sp = real_spectrum(square_bump(), 1.0, 1.0, method=method)
         assert sp.real_values() == [0.5]
@@ -241,6 +241,59 @@ def test_phase_grid_exports(tmp_path):
     assert len(lines) == 1 + 8 * 4
     for line in lines[1:]:
         assert all(math.isfinite(float(field)) for field in line.split(","))
+
+
+def per_cell_csv(grid) -> str:
+    """The phase-grid CSV written one cell at a time, as the reference for
+    the row-wise writer."""
+    xs, ys = grid.cell_centers()
+    out = ["re,im,arg\n"]
+    for j, y in enumerate(ys):
+        for i, x in enumerate(xs):
+            out.append(f"{float(x)!r},{float(y)!r},{float(grid.arg_values[j, i])!r}\n")
+    return "".join(out)
+
+
+def test_phase_grid_rows_match_per_cell_evaluation(tmp_path):
+    V = antisymmetric_pair(1.0)
+    grid = phase_grid(V, 1.0, (-7.0, 13.0, -3.0, 2.5), 9, 6)
+    xs, ys = grid.cell_centers()
+    for j, y in enumerate(ys):
+        for i, x in enumerate(xs):
+            d = spectra.determinant(V, complex(x, y), 1.0)
+            assert abs(grid.arg_values[j, i] - math.atan2(d.imag, d.real)) < 1e-12
+    grid.to_csv(tmp_path / "g.csv")
+    assert (tmp_path / "g.csv").read_text() == per_cell_csv(grid)
+
+
+def test_complex_search_evaluation_budget(monkeypatch):
+    # one cache for the whole search and Newton as soon as a box winds once:
+    # the parent design spent 81 554 evaluations here
+    couplings = []
+    kernel = spectra.determinant
+
+    def counted(V, g, k):
+        couplings.append(np.size(g))
+        return kernel(V, g, k)
+
+    monkeypatch.setattr(spectra, "determinant", counted)
+    sp = complex_spectrum(antisymmetric_pair(1.0), 1.0, (10.0, 200.0, 0.05, 2.0))
+    assert len(sp.roots) == 61
+    assert sum(couplings) <= 30000
+
+
+def test_newton_polish_batches_its_points_and_stays_in_region():
+    calls = []
+
+    def fun(zs):
+        calls.append(zs.size)
+        return zs * zs - 4.0
+
+    # D' ~ 2e-6 at the start: the first step lands near 2e6 and is not taken on
+    z, resid = spectra._newton_polish(fun, 1e-6 + 0j, 1e-12, (-1.0, 1.0, -1.0, 1.0))
+    assert resid == math.inf and calls == [3]
+    z, resid = spectra._newton_polish(fun, 1.5 + 0.1j, 1e-12, (0.0, 3.0, -1.0, 1.0))
+    assert abs(z - 2.0) < 1e-12 and resid < 1e-12 and set(calls) == {3}
 
 
 def test_phase_grid_validation():
