@@ -13,8 +13,11 @@ Step potentials are crossed with one closed-form kernel that takes the
 whole coupling grid as an array: on each constant piece it adds the exact
 number of half-turns and one exact remainder step, so its cost per piece
 does not grow with |gamma|.  Analytic potentials are integrated by one
-adaptive high-order ODE solve whose state is the vector of angles over
-all couplings: V(x) is shared, so the couplings share the steps.
+adaptive high-order ODE solve per Delta evaluation: its state holds the
+angles of both branches over all couplings (2n components), each branch
+walking from its truncation edge toward the origin in a shared variable,
+so the branches and the couplings share the steps.  The tolerances are
+divided by sqrt(2n).
 
 Matching conventions (zero sets are convention independent):
 
@@ -50,13 +53,11 @@ from .potential import (
 )
 
 __all__ = [
-    "PruferState",
     "DeltaCurve",
     "EigenvalueCheck",
     "tail_angle_bound",
     "truncation_bound",
     "choose_truncation",
-    "propagate",
     "delta_v",
     "delta_grid",
     "delta_curve",
@@ -66,17 +67,6 @@ __all__ = [
 
 _ODE_RTOL = 1e-11
 _ODE_ATOL = 1e-12
-_REF_RTOL = 1e-13  # step pieces under method="ode", the reference for the kernel
-
-
-@dataclass(frozen=True)
-class PruferState:
-    """Continuously lifted angle theta at position x for parameters (gamma, k)."""
-
-    theta: float
-    x: float
-    gamma: float
-    k: float
 
 
 class EigenvalueCheck(NamedTuple):
@@ -179,31 +169,39 @@ def _lift(W: PiecewiseConstantPotential, gammas: np.ndarray, theta: float,
     return theta
 
 
-def _walk_ode(theta: float, x0: float, x1: float, V, gammas: np.ndarray, k: float,
+def _walk_ode(theta0: Sequence[float], x0: Sequence[float], direction: Sequence[float],
+              length: float, V, gammas: np.ndarray, k: float,
               rtol: float = _ODE_RTOL) -> np.ndarray:
-    """Lifted angles at x1 for every coupling in gammas, from one adaptive
-    solve whose state holds all of them (all start from theta at x0).
+    """Lifted angles, shape (branches, couplings), from one adaptive solve
+    whose state holds every branch for every coupling.
 
-    The integrator bounds the RMS of the scaled error estimates over the
-    components, so both tolerances are divided by sqrt(n): each component's
+    Branch b starts from theta0[b] at x0[b] and walks length in direction[b]
+    (+1 or -1): it sits at x = x0[b] + direction[b]*s for the shared variable
+    s in [0, length].  The state holds direction[b]*theta, which obeys
+    d/ds = gamma*V(x) + k*cos(2*state) on every branch (cos is even), so the
+    branches differ only in where V is read.  The integrator bounds the RMS
+    of the scaled error estimates over the components, so both tolerances
+    are divided by the square root of their number: each component's
     estimate then stays within the budget of a solve of its own.
     """
-    start = np.full(gammas.shape, theta, dtype=float)
-    if x0 == x1:
-        return start
-    shrink = 1.0 / math.sqrt(gammas.size)
-    sol = solve_ivp(
-        lambda x, th: gammas * V(x) + k * np.cos(2.0 * th),
-        (x0, x1),
-        start,
-        method="DOP853",
-        rtol=rtol * shrink,
-        atol=_ODE_ATOL * shrink,
-        t_eval=[x1],  # store only the end state, not one per step
-    )
+    sign = np.asarray(direction, dtype=float)[:, None]
+    start = sign * np.asarray(theta0, dtype=float)[:, None] * np.ones(gammas.size)
+    if length == 0:
+        return sign * start
+    shrink = 1.0 / math.sqrt(start.size)
+    ends = [(float(a), float(d)) for a, d in zip(x0, direction)]
+
+    def rhs(s, state):
+        out = np.multiply.outer([V(a + d * s) for a, d in ends], gammas).ravel()
+        out += k * np.cos(2.0 * state)
+        return out
+
+    sol = solve_ivp(rhs, (0.0, length), start.ravel(), method="DOP853",
+                    rtol=rtol * shrink, atol=_ODE_ATOL * shrink,
+                    t_eval=[length])  # store only the end state, not one per step
     if not sol.success:
-        raise StepUnderflow(f"integrator stalled before x = {x1:.6g}: {sol.message}")
-    return sol.y[:, -1]
+        raise StepUnderflow(f"integrator stalled before s = {length:.6g}: {sol.message}")
+    return sign * sol.y[:, -1].reshape(start.shape)
 
 
 def _piece_segments(W: PiecewiseConstantPotential, x0: float, x1: float):
@@ -214,34 +212,6 @@ def _piece_segments(W: PiecewiseConstantPotential, x0: float, x1: float):
         cuts = cuts[::-1]
     for a, b in zip(cuts, cuts[1:]):
         yield a, b, W((a + b) / 2.0)
-
-
-def propagate(state: PruferState, V: Potential, to_x: float, method: str = "auto") -> PruferState:
-    """Advance the lifted angle to to_x (either direction).
-
-    Step potentials default to the closed-form per-piece kernel; analytic
-    potentials (or method="ode") use an adaptive high-order integrator.
-    """
-    if method not in ("auto", "exact", "ode"):
-        raise ValueError(f"unknown method {method!r}")
-    theta, x, gamma, k = state.theta, state.x, state.gamma, state.k
-    g = np.array([gamma], dtype=float)
-    if isinstance(V, PiecewiseConstantPotential):
-        W = canonicalize(V)
-        if method == "ode":
-            # theta' is pi-periodic in theta: start each piece from the reduced
-            # angle, so that the relative tolerance does not grow with |theta|
-            for a, b, v in _piece_segments(W, x, to_x):
-                turns = math.pi * round(theta / math.pi)
-                theta = turns + float(_walk_ode(theta - turns, a, b, lambda _x, _v=v: _v, g, k,
-                                                rtol=_REF_RTOL)[0])
-        else:
-            theta = float(_lift(W, g, theta, x, to_x, k)[0])
-    else:
-        if method == "exact":
-            raise ValueError("exact propagation requires a piecewise-constant potential")
-        theta = float(_walk_ode(theta, x, to_x, V, g, k)[0])
-    return PruferState(theta, to_x, gamma, k)
 
 
 def delta_v(V: Potential, gamma: float, k: float) -> float:
@@ -255,7 +225,8 @@ def delta_v(V: Potential, gamma: float, k: float) -> float:
 
 def delta_grid(V: Potential, gammas: Sequence[float], k: float) -> np.ndarray:
     """Delta on a coupling grid: one closed-form sweep over the pieces (step
-    potentials) or one vector ODE solve per branch (analytic potentials)."""
+    potentials) or one vector ODE solve holding both branches (analytic
+    potentials)."""
     if k <= 0:
         raise NonPositiveK("k must be positive")
     g = np.asarray(gammas, dtype=float)
@@ -264,8 +235,7 @@ def delta_grid(V: Potential, gammas: Sequence[float], k: float) -> np.ndarray:
             return np.zeros(0)
         # share one cutoff across the grid so the scan is consistent
         X = choose_truncation(V, float(np.max(np.abs(g))))
-        plus = _walk_ode(-math.pi / 4, X, 0.0, V, g, k)
-        minus = _walk_ode(math.pi / 4, -X, 0.0, V, g, k)
+        plus, minus = _walk_ode([-math.pi / 4, math.pi / 4], [X, -X], [-1.0, 1.0], X, V, g, k)
         return -math.pi / 2 - plus + minus
 
     hull = V.support_hull()

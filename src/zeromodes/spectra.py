@@ -241,16 +241,13 @@ def real_spectrum(V: Potential, k: float, R: float, tol: float = 1e-9,
         n_cells = int(math.ceil(R / step))
         if 2 * n_cells > _MAX_SCAN_CELLS:
             break
-        grid = np.linspace(0.0, R, n_cells + 1)
-        vals = values(grid)
-        coarse = brackets(vals)
+        # one evaluation per attempt, at half step: the even nodes are the
+        # scan grid, and the odd ones verify it (a dip across a level and
+        # back inside one cell is invisible to the endpoint test)
+        fine = np.linspace(0.0, R, 2 * n_cells + 1)
+        fvals = values(fine)
+        coarse = brackets(fvals[::2])
         if coarse is not None:
-            # verify against half step: a dip across a level and back inside
-            # one cell is invisible to the endpoint test
-            fine = np.linspace(0.0, R, 2 * n_cells + 1)
-            fvals = np.empty(fine.size)
-            fvals[::2] = vals
-            fvals[1::2] = values(fine[1::2])
             found = brackets(fvals)
             if found is not None and len(found[0]) == len(coarse[0]):
                 cells, levels = found
@@ -495,18 +492,23 @@ class PhaseGrid:
 
 
 def _hsv_hue_to_rgb(hue: np.ndarray) -> np.ndarray:
-    """HSV -> RGB for s = v = 1, vectorized; returns uint8 (..., 3)."""
-    h6 = np.mod(hue, 1.0) * 6.0
-    i = np.floor(h6).astype(int) % 6
-    f = h6 - np.floor(h6)
-    one = np.ones_like(f)
-    q = 1.0 - f
-    # channel patterns for the six sectors
-    r = np.choose(i, [one, q, 0 * f, 0 * f, f, one])
-    g = np.choose(i, [f, one, one, q, 0 * f, 0 * f])
-    b = np.choose(i, [0 * f, 0 * f, f, one, one, q])
-    out = np.stack([r, g, b], axis=-1)
-    return np.clip(np.round(out * 255), 0, 255).astype(np.uint8)
+    """HSV -> RGB for s = v = 1, vectorized; returns uint8 (..., 3).  Each
+    channel is written straight into the output from four byte levels."""
+    f = np.mod(hue, 1.0)
+    f *= 6.0
+    sector = np.floor(f)
+    f -= sector
+    sector = sector.astype(np.int8) % 6
+    levels = np.zeros((4,) + hue.shape, dtype=np.uint8)  # 0, 1, f and 1 - f
+    levels[1] = 255
+    levels[2] = np.round(f * 255)
+    levels[3] = np.round((1.0 - f) * 255)
+    # the level each channel takes in each of the six sectors
+    pick = np.array([[1, 3, 0, 0, 2, 1], [2, 1, 1, 3, 0, 0], [0, 0, 2, 1, 1, 3]], dtype=np.int8)
+    out = np.empty(hue.shape + (3,), dtype=np.uint8)
+    for c in range(3):
+        out[..., c] = np.choose(pick[c][sector], levels)
+    return out
 
 
 def phase_grid(V: PiecewiseConstantPotential, k: float,

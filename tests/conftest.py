@@ -1,8 +1,14 @@
-"""Shared potential families used across the test suite."""
+"""Shared potential families and phase walks used across the test suite."""
 
+import math
+
+import numpy as np
 import pytest
 
-from zeromodes.potential import build_w, hrp_potential
+from zeromodes.potential import build_w, canonicalize, hrp_potential
+from zeromodes.prufer import _lift, _piece_segments, _walk_ode
+
+_REF_RTOL = 1e-13  # the ODE reference for the closed-form kernel on step pieces
 
 
 def square_bump():
@@ -30,6 +36,24 @@ def twin_gap(g: float):
         return build_w([-2.0, -1.0, 1.0, 2.0], [-1.0, 1.0, -1.0])
     return build_w([-g - 2.0, -g - 1.0, -1.0, 1.0, g + 1.0, g + 2.0],
                    [-1.0, 0.0, 1.0, 0.0, -1.0])
+
+
+def lift_angle(V, theta, x0, x1, gamma, k):
+    """Lifted angle at x1 from theta at x0 through the closed-form kernel."""
+    return float(_lift(canonicalize(V), np.array([float(gamma)]), theta, x0, x1, k)[0])
+
+
+def ode_angle(V, theta, x0, x1, gamma, k):
+    """The same angle by one adaptive solve per constant piece.  Each piece
+    starts from the angle reduced mod pi: theta' is pi-periodic in theta, so
+    the relative tolerance then does not grow with |theta|."""
+    g = np.array([float(gamma)])
+    for a, b, v in _piece_segments(canonicalize(V), x0, x1):
+        turns = math.pi * round(theta / math.pi)
+        walk = _walk_ode([theta - turns], [a], [math.copysign(1.0, b - a)], abs(b - a),
+                         lambda _x, _v=v: _v, g, k, rtol=_REF_RTOL)
+        theta = turns + float(walk[0, 0])
+    return theta
 
 
 @pytest.fixture(scope="session")

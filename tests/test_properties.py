@@ -6,8 +6,9 @@ from itertools import accumulate
 from hypothesis import given, settings, strategies as st
 
 from zeromodes.potential import build_w, l1_norm, mirror, negate, translate
-from zeromodes.prufer import PruferState, delta_v, propagate, tail_angle_bound
+from zeromodes.prufer import delta_v, tail_angle_bound
 from zeromodes.spectra import real_spectrum
+from conftest import lift_angle, ode_angle
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40, database=None)
 
@@ -33,9 +34,8 @@ couplings = st.floats(-600.0, 600.0)
 def test_exact_propagation_matches_ode(V, gamma, theta, leftward, k):
     a, b = V.breakpoints[0], V.breakpoints[-1]
     x0, x1 = (b, a) if leftward else (a, b)
-    s = PruferState(theta, x0, gamma, k)
-    exact = propagate(s, V, x1, method="exact").theta
-    ode = propagate(s, V, x1, method="ode").theta
+    exact = lift_angle(V, theta, x0, x1, gamma, k)
+    ode = ode_angle(V, theta, x0, x1, gamma, k)
     assert abs(exact - ode) < 1e-8
 
 

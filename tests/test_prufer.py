@@ -2,23 +2,23 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from zeromodes.closedform import gap_angle_relation_check
 from zeromodes.errors import NonPositiveK
-from zeromodes.potential import build_w, l1_norm
+from zeromodes.potential import build_w, l1_norm, mirror, translate
 from zeromodes.prufer import (
-    PruferState,
     choose_truncation,
     delta_curve,
     delta_derivative,
     delta_grid,
     delta_v,
     is_eigenvalue,
-    propagate,
     tail_angle_bound,
     truncation_bound,
 )
-from conftest import antisymmetric_pair, gap_pair, square_bump, twin_gap
+from zeromodes.spectra import real_spectrum
+from conftest import antisymmetric_pair, gap_pair, lift_angle, ode_angle, square_bump, twin_gap
 
 
 def test_delta_at_zero_coupling():
@@ -40,9 +40,8 @@ def test_k_must_be_positive():
 def test_gap_fixed_point():
     # theta = pi/4 is a stationary solution across a zero piece
     V = build_w([0.0, 5.0], [0.0])
-    s = PruferState(math.pi / 4, 5.0, 3.0, 1.0)
-    out = propagate(s, V, 0.0)
-    assert abs(out.theta - math.pi / 4) < 1e-12
+    theta = lift_angle(V, math.pi / 4, 5.0, 0.0, 3.0, 1.0)
+    assert abs(theta - math.pi / 4) < 1e-12
 
 
 def test_gap_relation_for_propagated_angles():
@@ -51,25 +50,23 @@ def test_gap_relation_for_propagated_angles():
     for _ in range(10):
         th0 = rng.uniform(-math.pi, math.pi)
         k = rng.uniform(0.5, 2.0)
-        out = propagate(PruferState(th0, 0.0, 1.7, k), V, 2.0)
-        assert abs(gap_angle_relation_check(th0, out.theta, k, 2.0)) < 1e-8
+        theta = lift_angle(V, th0, 0.0, 2.0, 1.7, k)
+        assert abs(gap_angle_relation_check(th0, theta, k, 2.0)) < 1e-8
 
 
 def test_exact_vs_ode_propagation():
     V = gap_pair(1.0, 2.0)
     for gamma in (0.5, 2.0, 7.3):
-        s = PruferState(-math.pi / 4, 2.0, gamma, 1.0)
-        exact = propagate(s, V, -2.0, method="exact").theta
-        ode = propagate(s, V, -2.0, method="ode").theta
+        exact = lift_angle(V, -math.pi / 4, 2.0, -2.0, gamma, 1.0)
+        ode = ode_angle(V, -math.pi / 4, 2.0, -2.0, gamma, 1.0)
         assert abs(exact - ode) < 1e-8
 
 
 def test_propagate_round_trip():
     V = gap_pair(0.5, 1.5)
-    s0 = PruferState(0.3, -3.0, 4.0, 1.0)
-    fwd = propagate(s0, V, 2.0)
-    back = propagate(fwd, V, -3.0)
-    assert abs(back.theta - s0.theta) < 1e-9
+    fwd = lift_angle(V, 0.3, -3.0, 2.0, 4.0, 1.0)
+    back = lift_angle(V, fwd, 2.0, -3.0, 4.0, 1.0)
+    assert abs(back - 0.3) < 1e-9
 
 
 def test_delta_monotone_for_single_sign():
@@ -207,6 +204,25 @@ def test_vector_solve_does_not_depend_on_its_batch(sech_well):
             grid = np.sort(np.append(np.linspace(0.0, 6.0, 199), g))
             batch = delta_grid(sech_well, grid, k)[np.searchsorted(grid, g)]
             assert abs(batch - delta_v(sech_well, g, k)) < 1e-9
+
+
+def test_fused_solve_keeps_the_branches_apart(sech_well):
+    # on an uneven well each branch must read V on its own side: compare the
+    # one-solve Delta with each branch integrated on its own
+    def walk(V, g, theta, x0):
+        sol = solve_ivp(lambda x, th: g * V(x) + np.cos(2.0 * th), (x0, 0.0), [theta],
+                        method="DOP853", rtol=1e-11, atol=1e-12)
+        return sol.y[0, -1]
+
+    gs = [0.7, 3.3, 5.9]
+    shifted = translate(sech_well, 0.9)
+    for V in (shifted, mirror(shifted)):
+        X = choose_truncation(V, max(gs))
+        for g, d in zip(gs, delta_grid(V, gs, 1.0)):
+            ref = -math.pi / 2 - walk(V, g, -math.pi / 4, X) + walk(V, g, math.pi / 4, -X)
+            assert abs(d - ref) < 1e-9
+    got = real_spectrum(shifted, 1.0, 6.0).real_values()
+    assert np.max(np.abs(np.array(got) - np.arange(1.5, 6.0, 1.0))) < 1e-9
 
 
 def test_delta_curve_csv(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from zeromodes import spectra
+from zeromodes import prufer, spectra
 from zeromodes.errors import NonPositiveK, RegionTooSmall
 from zeromodes.potential import build_w, negate, translate
 from zeromodes.spectra import (
@@ -226,6 +226,35 @@ def test_phase_grid_conjugate_symmetry():
     assert np.max(wrapped) < 1e-10
 
 
+def _hsv_hue_to_rgb_float(hue):
+    """The float64 colour map the byte writer replaced, kept as the reference."""
+    h6 = np.mod(hue, 1.0) * 6.0
+    i = np.floor(h6).astype(int) % 6
+    f = h6 - np.floor(h6)
+    one = np.ones_like(f)
+    q = 1.0 - f
+    r = np.choose(i, [one, q, 0 * f, 0 * f, f, one])
+    g = np.choose(i, [f, one, one, q, 0 * f, 0 * f])
+    b = np.choose(i, [0 * f, 0 * f, f, one, one, q])
+    out = np.stack([r, g, b], axis=-1)
+    return np.clip(np.round(out * 255), 0, 255).astype(np.uint8)
+
+
+def test_ppm_colour_map_matches_float_reference(tmp_path):
+    rng = np.random.RandomState(3)
+    # sector edges, exact halves of a byte step and their neighbours
+    edges = np.concatenate([np.arange(7) / 6.0, (np.arange(256) + 0.5) / 255 / 6])
+    hues = np.concatenate([rng.uniform(0.0, 1.0, 5000), edges, np.nextafter(edges, 2.0),
+                           np.nextafter(edges, -1.0), [1.0, 0.0, -0.25, 1.5]])
+    hue = hues.reshape(3, -1)
+    assert np.array_equal(spectra._hsv_hue_to_rgb(hue), _hsv_hue_to_rgb_float(hue))
+    grid = phase_grid(antisymmetric_pair(1.0), 1.0, (10.0, 40.0, 0.05, 2.0), 48, 16)
+    grid.to_ppm(tmp_path / "g.ppm")
+    hue = (grid.arg_values + math.pi) / math.tau
+    assert (tmp_path / "g.ppm").read_bytes() == (
+        b"P6\n48 16\n255\n" + _hsv_hue_to_rgb_float(hue[::-1, :]).tobytes())
+
+
 def test_phase_grid_exports(tmp_path):
     V = square_bump()
     grid = phase_grid(V, 1.0, (-3.0, 3.0, -1.0, 1.0), 8, 4)
@@ -264,6 +293,32 @@ def test_phase_grid_rows_match_per_cell_evaluation(tmp_path):
             assert abs(grid.arg_values[j, i] - math.atan2(d.imag, d.real)) < 1e-12
     grid.to_csv(tmp_path / "g.csv")
     assert (tmp_path / "g.csv").read_text() == per_cell_csv(grid)
+
+
+def test_sech_well_solve_budget(sech_well, monkeypatch):
+    # each Delta evaluation on an analytic potential is one ODE solve holding
+    # both branches, and each scan attempt is one evaluation; one solve per
+    # branch and a separate coarse scan spent 16 and 24 solves here
+    solves, grids = [], []
+    solve, grid = prufer.solve_ivp, spectra.delta_grid
+
+    def counted_solve(*args, **kwargs):
+        solves.append(1)
+        return solve(*args, **kwargs)
+
+    def counted_grid(V, g, k):
+        grids.append(1)
+        return grid(V, g, k)
+
+    monkeypatch.setattr(prufer, "solve_ivp", counted_solve)
+    monkeypatch.setattr(spectra, "delta_grid", counted_grid)
+    for k in (1.0, 1.5):
+        solves.clear()
+        grids.clear()
+        sp = real_spectrum(sech_well, k, 6.0, tol=1e-8)
+        assert len(solves) == len(grids) and len(solves) <= 8
+        want = np.arange(k + 0.5, 6.0, 1.0)
+        assert np.max(np.abs(np.array(sp.real_values()) - want)) < 1e-9
 
 
 def test_complex_search_evaluation_budget(monkeypatch):
