@@ -10,8 +10,8 @@ rescanning at half step until the bracket count stabilises), then refines
 all brackets at once by vectorised Illinois false position, one grid
 evaluation per iteration.  trigzeros reuses the same refiner.
 Complex couplings of step potentials are located by the phase winding of
-the matching determinant around rectangles (new contour points go to the
-array kernel in batches, through one cache per search), then by Newton.
+the matching determinant around rectangles, a whole level of boxes per
+kernel call through one cache per search, then by Newton batched likewise.
 """
 
 from __future__ import annotations
@@ -276,13 +276,13 @@ def counting_function(spectrum: GammaSpectrum, R: float) -> int:
 
 
 class _ArgTracker:
-    """Continuous-argument accumulator for D along closed polylines, with
-    one evaluation cache for a whole search.
+    """Continuous-argument accumulator for D around rectangles, with one
+    evaluation cache for a whole search.
 
     A principal-value argument step is only trustworthy on segments short
     enough that the true phase cannot alias by a full turn, so segments are
     halved until the step is below pi/2 *and* the magnitude ratio stays
-    moderate; callers additionally pre-split edges at the phase scale set by
+    moderate; edges are additionally pre-split at the phase scale set by
     the potential.  fun maps an array of couplings to an array of D values;
     the points not yet in the cache go to it in one call.
     """
@@ -293,119 +293,165 @@ class _ArgTracker:
 
     def __call__(self, zs: np.ndarray) -> np.ndarray:
         keys = zs.tolist()
-        new = [z for z in dict.fromkeys(keys) if z not in self.cache]
+        new = list(dict.fromkeys(z for z in keys if z not in self.cache))
         if new:
-            vals = self.fun(np.array(new))
-            zero = np.flatnonzero(vals == 0)
-            if zero.size:
-                raise BoundaryRoot(f"determinant vanishes on the contour near {new[zero[0]]}")
-            self.cache.update(zip(new, vals.tolist()))
+            self.cache.update(zip(new, self.fun(np.array(new)).tolist()))
         return np.array([self.cache[z] for z in keys])
 
-    def arg_change(self, zs: np.ndarray) -> float:
-        """Argument change along the polyline through zs.  The segments that
-        fail the step tests are halved together; one that still fails after
-        49 halvings raises."""
+    def windings(self, rects: list, h0: float) -> tuple[list[int], list[Exception | None]]:
+        """Winding of D around each rect, and the error of each rect whose
+        contour fails (None where it succeeds).  Each edge is pre-split at
+        phase scale h0 from its lower-left end, so boxes sharing an edge
+        share its nodes.  All nodes go to the cache in one call; the failing
+        segments of every rect are then halved together, one call per round,
+        and the argument steps are summed by owner index."""
+        paths = []
+        for x0, x1, y0, y1 in rects:
+            corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
+            nodes = []
+            for p, q in zip(corners, corners[1:] + corners[:1]):
+                lo, hi = sorted((p, q), key=lambda z: (z.real, z.imag))
+                n = max(1, math.ceil(abs(q - p) / h0))
+                edge = lo + (hi - lo) * (np.arange(n + 1) / n)
+                edge[0], edge[-1] = lo, hi
+                nodes.append(edge[:-1] if lo == p else edge[:0:-1])  # from p, without q
+            nodes.append(corners[:1])
+            paths.append(np.concatenate(nodes))
+        owner = np.repeat(np.arange(len(rects)), [p.size for p in paths])
+        zs = np.concatenate(paths)
         vals = self(zs)
-        a, b, va, vb = zs[:-1], zs[1:], vals[:-1], vals[1:]
-        total = 0.0
+        bad, total = np.zeros(len(rects), dtype=bool), np.zeros(len(rects))
+        bad[owner[vals == 0]] = True
+        seg = owner[1:] == owner[:-1]  # no segment joins two contours
+        a, b, va, vb, own = (t[seg] for t in (zs[:-1], zs[1:], vals[:-1], vals[1:], owner[1:]))
         for _ in range(50):
+            a, b, va, vb, own = (t[~bad[own]] for t in (a, b, va, vb, own))
             r = vb / va
             dphi = np.arctan2(r.imag, r.real)
             ok = (abs(dphi) < math.pi / 2) & (abs(r) > 0.2) & (abs(r) < 5.0)
-            total += float(dphi[ok].sum())
+            total += np.bincount(own[ok], dphi[ok], len(rects))
             if ok.all():
-                return total
-            a, b, va, vb = a[~ok], b[~ok], va[~ok], vb[~ok]
+                break
+            a, b, va, vb, own = (t[~ok] for t in (a, b, va, vb, own))
             m = 0.5 * (a + b)
             vm = self(m)
-            a, b = np.concatenate([a, m]), np.concatenate([m, b])
+            bad[own[vm == 0]] = True
+            a, b, own = np.concatenate([a, m]), np.concatenate([m, b]), np.concatenate([own, own])
             va, vb = np.concatenate([va, vm]), np.concatenate([vm, vb])
-        raise BoundaryRoot(f"argument tracking failed near {a[0]} (suspected boundary root)")
+        else:
+            bad[own] = True
+        w = total / math.tau
+        errors = [BoundaryRoot(f"D vanishes or its argument is lost on {rect}") if bad[i] else
+                  WindingMismatch(f"non-integer winding {w[i]:.3f} on {rect}")
+                  if abs(w[i] - round(w[i])) > 0.25 else None for i, rect in enumerate(rects)]
+        return np.rint(w).astype(int).tolist(), errors
 
 
-def _rect_winding(tracker: _ArgTracker, rect: tuple[float, float, float, float],
-                  h0: float) -> int:
-    """Winding of D around rect.  Each edge is pre-split at phase scale h0
-    from its lower-left end, so boxes sharing an edge share its nodes."""
-    x0, x1, y0, y1 = rect
-    corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
-    nodes = []
-    for p, q in zip(corners, corners[1:] + corners[:1]):
-        lo, hi = sorted((p, q), key=lambda z: (z.real, z.imag))
-        n = max(1, math.ceil(abs(q - p) / h0))
-        edge = lo + (hi - lo) * (np.arange(n + 1) / n)
-        edge[0], edge[-1] = lo, hi
-        nodes.append(edge[:-1] if lo == p else edge[:0:-1])  # from p, without q
-    nodes.append(corners[:1])
-    w = tracker.arg_change(np.concatenate(nodes)) / math.tau
-    if abs(w - round(w)) > 0.25:
-        raise WindingMismatch(f"non-integer winding {w:.3f} on {rect}")
-    return int(round(w))
-
-
-def _newton_polish(fun, z: complex, tol: float,
-                   region: tuple[float, float, float, float]) -> tuple[complex, float]:
-    """Newton from z with a central-difference derivative, D at z - h, z and
-    z + h in one call.  The residual is the size of one extra step after
-    convergence, or inf when an iterate leaves region (outside the traced
-    contour D may overflow)."""
+def _newton_polish(fun, z, tol: float,
+                   region: tuple[float, float, float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """Newton from every start point of z at once, with a central-difference
+    derivative: each iteration makes one call to fun, on z - h, z and z + h
+    of every start still iterating.  Returns the arrays (roots, residuals).
+    A residual is the size of one extra step after convergence, or inf when
+    an iterate leaves region (outside the traced contour D may overflow).
+    The updates run in Python complex arithmetic, start by start."""
     x0, x1, y0, y1 = region
-    h, step, converged = 1e-7, math.inf, False
+    h, zs = 1e-7, np.atleast_1d(z).tolist()
+    step, resid, converged = [math.inf] * len(zs), [math.inf] * len(zs), [False] * len(zs)
+    live = list(range(len(zs)))
     for _ in range(81):
-        fm, f0, fp = fun(np.array([z - h, z, z + h])).tolist()
-        d = (fp - fm) / (2 * h)
-        if d == 0 and not converged:
+        if not live:
             break
-        step = f0 / d if d != 0 else step
-        z = z - step
-        if converged:  # the extra step is the certificate
-            return z, abs(step)
-        if not (x0 <= z.real <= x1 and y0 <= z.imag <= y1):
-            break
-        converged = abs(step) < 0.25 * tol
-    return z, math.inf
+        f = fun(np.array([p for i in live for p in (zs[i] - h, zs[i], zs[i] + h)])).tolist()
+        still = []
+        for i, fm, f0, fp in zip(live, f[::3], f[1::3], f[2::3]):
+            d = (fp - fm) / (2 * h)
+            if d == 0 and not converged[i]:
+                continue
+            step[i] = f0 / d if d != 0 else step[i]
+            zs[i] = zs[i] - step[i]
+            if converged[i]:  # the extra step is the certificate
+                resid[i] = abs(step[i])
+            elif x0 <= zs[i].real <= x1 and y0 <= zs[i].imag <= y1:
+                converged[i] = abs(step[i]) < 0.25 * tol
+                still.append(i)
+        live = still
+    return np.array(zs), np.array(resid)
 
 
-def _subdivide(tracker: _ArgTracker, rect, region, tol, h0,
-               found: list[tuple[complex, float, int]], depth: int = 0):
-    w = _rect_winding(tracker, rect, h0)
-    if w == 0:
-        return 0
-    x0, x1, y0, y1 = rect
-    diam = math.hypot(x1 - x0, y1 - y0)
-    if w == 1 or diam < 1e-3 or depth > 60:
-        zc = complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))
-        z, resid = _newton_polish(tracker.fun, zc, tol, region)
-        # a box that winds once holds exactly one root: Newton must land inside it
-        near = (x0 < z.real < x1 and y0 < z.imag < y1) if w == 1 else abs(z - zc) <= 10 * diam
-        if resid > tol or not near:
-            if diam > 1e-9:  # keep squeezing the box around a stubborn root
-                return _quadrisect(tracker, rect, region, tol, h0, found, depth)
-            z, resid = zc, diam
-        found.append((z, resid, w))
-        return w
-    return _quadrisect(tracker, rect, region, tol, h0, found, depth)
+def _subdivide(tracker: _ArgTracker, rect, tol: float, h0: float):
+    """(roots inside rect as (z, residual, multiplicity), winding of rect),
+    searched one level of boxes at a time.
 
+    A box is (rect, depth, quadrisection that made it); a quadrisection is
+    [box it splits, split fraction index, alive].  A box whose contour fails
+    kills its quadrisection with every box and root below it, and the four
+    children are queued again at the next fraction; after the third, the
+    failure moves up to the parent quadrisection, and at the top it is
+    raised."""
+    def alive(box):
+        q = box[2]
+        while q is not None and q[2]:
+            q = q[0][2]
+        return q is None
 
-def _quadrisect(tracker, rect, region, tol, h0, found, depth):
-    x0, x1, y0, y1 = rect
-    # offset fractions dodge roots sitting exactly on a midline
-    for frac in (0.5, 0.5 + 0.013, 0.5 - 0.029):
-        xm = x0 + frac * (x1 - x0)
-        ym = y0 + frac * (y1 - y0)
-        quads = [(x0, xm, y0, ym), (xm, x1, y0, ym), (x0, xm, ym, y1), (xm, x1, ym, y1)]
-        snapshot = len(found)
-        try:
-            total = 0
-            for q in quads:
-                total += _subdivide(tracker, q, region, tol, h0, found, depth + 1)
-            return total
-        except (BoundaryRoot, WindingMismatch):
-            # retry with shifted split lines; drop roots from the failed pass
-            del found[snapshot:]
-            continue
-    raise WindingMismatch(f"subdivision could not reconcile windings inside {rect}")
+    def split(box, i):
+        (x0, x1, y0, y1), q = box[0], [box, i, True]
+        frac = (0.5, 0.5 + 0.013, 0.5 - 0.029)[i]  # offsets dodge roots sitting on a midline
+        xm, ym = x0 + frac * (x1 - x0), y0 + frac * (y1 - y0)
+        nxt.extend(((a, b, c, d), box[1] + 1, q) for c, d in ((y0, ym), (ym, y1))
+                   for a, b in ((x0, xm), (xm, x1)))
+
+    def fail(box, err):
+        while alive(box):
+            q = box[2]
+            if q is None:
+                raise err
+            q[2] = False
+            if q[1] < 2:
+                return split(q[0], q[1] + 1)
+            box, err = q[0], WindingMismatch(
+                f"subdivision could not reconcile windings inside {q[0][0]}")
+
+    frontier, found, top = [(rect, 0, None)], [], None
+    while frontier:
+        nxt = []
+        winds, errors = tracker.windings([box[0] for box in frontier], h0)
+        for box, err in zip(frontier, errors):
+            if err is not None:
+                fail(box, err)
+        if top is None:
+            top = winds[0]
+            # the cache holds the top contour's values only
+            mags = abs(np.array(list(tracker.cache.values())))
+            if mags.min() < 1e-12 * mags.max():
+                raise BoundaryRoot("determinant nearly vanishes on the boundary")
+        polish = []
+        for box, w, err in zip(frontier, winds, errors):
+            if err is not None or w == 0 or not alive(box):
+                continue
+            (x0, x1, y0, y1), depth, _ = box
+            diam = math.hypot(x1 - x0, y1 - y0)
+            if w == 1 or diam < 1e-3 or depth > 60:
+                polish.append((box, w, diam, complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))))
+            else:
+                split(box, 0)
+        zs, resids = _newton_polish(tracker.fun, np.array([p[3] for p in polish], dtype=complex),
+                                    tol, rect)
+        for (box, w, diam, zc), z, resid in zip(polish, zs.tolist(), resids.tolist()):
+            x0, x1, y0, y1 = box[0]
+            # a box that winds once holds exactly one root: Newton must land
+            # in it, to within tol (a root on a split line is on both sides)
+            near = ((x0 - tol <= z.real <= x1 + tol and y0 - tol <= z.imag <= y1 + tol)
+                    if w == 1 else abs(z - zc) <= 10 * diam)
+            if resid > tol or not near:
+                if diam > 1e-9:  # keep squeezing the box around a stubborn root
+                    split(box, 0)
+                    continue
+                z, resid = zc, diam
+            found.append((z, resid, w, box))
+        frontier = [box for box in nxt if alive(box)]
+    return [(z, resid, w) for z, resid, w, box in found if alive(box)], top
 
 
 def complex_spectrum(V: PiecewiseConstantPotential, k: float,
@@ -414,13 +460,13 @@ def complex_spectrum(V: PiecewiseConstantPotential, k: float,
     """Couplings inside a complex rectangle (re_min, re_max, im_min, im_max).
 
     The boundary winding number of the matching determinant is tracked with
-    adaptive argument subdivision through one evaluation cache.  A box that
-    winds once is polished with Newton from its centre, and quadrisected if
-    Newton leaves it; other winding boxes are quadrisected down to small
-    diameter first.  The number of roots returned (with multiplicity) always
-    equals the top-level winding; any mismatch raises instead of silently
-    dropping a root.  A root too close to the boundary triggers an automatic
-    1e-6 outward nudge.
+    adaptive argument subdivision through one evaluation cache, one level of
+    boxes at a time.  Boxes that wind once are polished together with
+    Newton from their centres, and quadrisected if Newton leaves them;
+    other winding boxes are quadrisected down to small diameter first.  The
+    number of roots returned (with multiplicity) always equals the top-level
+    winding; any mismatch raises instead of silently dropping a root.  A
+    root too close to the boundary triggers an automatic 1e-6 outward nudge.
     """
     if k <= 0:
         raise NonPositiveK("k must be positive")
@@ -433,24 +479,18 @@ def complex_spectrum(V: PiecewiseConstantPotential, k: float,
     nudge = 0.0
     for attempt in range(4):
         rect = (x0 - nudge, x1 + nudge, y0 - nudge, y1 + nudge)
-        tracker = _ArgTracker(fun)
         try:
-            top = _rect_winding(tracker, rect, h0)
-            # the cache holds the top contour's values only, until _subdivide
-            mags = abs(np.array(list(tracker.cache.values())))
-            if mags.min() < 1e-12 * mags.max():
-                raise BoundaryRoot("determinant nearly vanishes on the boundary")
-            found: list[tuple[complex, float, int]] = []
-            got = _subdivide(tracker, rect, rect, tol, h0, found)
-            if got != top:
-                raise WindingMismatch(f"found {got} roots but boundary winds {top}")
-            roots = [Root(z, resid, "winding-newton", mult) for z, resid, mult in found]
-            merged = _merge_sorted(roots)
-            if sum(r.multiplicity for r in merged) != top:
-                raise WindingMismatch("duplicate roots merged away; winding no longer reconciles")
-            return GammaSpectrum(merged, (x0, x1, y0, y1), k)
+            found, top = _subdivide(_ArgTracker(fun), rect, tol, h0)
         except BoundaryRoot:
             nudge = 1e-6 * (attempt + 1)
+            continue
+        got = sum(mult for _, _, mult in found)
+        if got != top:
+            raise WindingMismatch(f"found {got} roots but boundary winds {top}")
+        merged = _merge_sorted([Root(z, r, "winding-newton", m) for z, r, m in found])
+        if sum(r.multiplicity for r in merged) != top:
+            raise WindingMismatch("duplicate roots merged away; winding no longer reconciles")
+        return GammaSpectrum(merged, (x0, x1, y0, y1), k)
     raise BoundaryRoot("rectangle boundary keeps hitting a root despite nudging")
 
 

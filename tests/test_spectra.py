@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from zeromodes import prufer, spectra
-from zeromodes.errors import NonPositiveK, RegionTooSmall
+from zeromodes.errors import NonPositiveK, RegionTooSmall, WindingMismatch
 from zeromodes.potential import build_w, negate, translate
 from zeromodes.spectra import (
     complex_spectrum,
@@ -351,6 +351,90 @@ def test_newton_polish_batches_its_points_and_stays_in_region():
     assert abs(z - 2.0) < 1e-12 and resid < 1e-12 and set(calls) == {3}
 
 
+def test_newton_polish_starts_end_as_they_do_alone():
+    # one call per iteration carries the starts still iterating; a start that
+    # converges, leaves the region or meets D' = 0 ends bit for bit where it
+    # ends on its own
+    calls = []
+
+    def fun(zs):
+        calls.append(zs.size)
+        return zs * zs - 4.0
+
+    starts = [1e-6 + 0j, 1.5 + 0.1j, -1.7 + 0.2j, 0j, 2.4 - 0.3j]
+    region = (-3.0, 3.0, -1.0, 1.0)
+    z, resid = spectra._newton_polish(fun, np.array(starts), 1e-12, region)
+    batched = list(calls)
+    calls.clear()
+    assert batched[0] == 15 and batched == sorted(batched, reverse=True)
+    assert all(n % 3 == 0 for n in batched)
+    alone = []
+    for i, start in enumerate(starts):
+        zi, ri = spectra._newton_polish(fun, start, 1e-12, region)
+        assert z[i] == zi[0] and resid[i] == ri[0]
+        alone.append(len(calls))
+        calls.clear()
+    assert len(batched) == max(alone)  # one call per iteration, not per start
+    assert resid[0] == resid[3] == math.inf
+    assert abs(z[1] - 2.0) < 1e-12 and abs(z[2] + 2.0) < 1e-12 and abs(z[4] - 2.0) < 1e-12
+
+
+@pytest.fixture(scope="module")
+def first_pair_roots():
+    """The first two roots z1, z2 of antisymmetric_pair(1) in (10, 20, 0.05, 2)
+    at tol 1e-10, from a search whose split lines miss them."""
+    sp = complex_spectrum(antisymmetric_pair(1.0), 1.0, (10.0, 20.0, 0.05, 2.0), tol=1e-10)
+    return sp.roots[0].value, sp.roots[1].value
+
+
+def test_root_on_a_split_line_meets_tol(first_pair_roots):
+    # the first split of this rectangle runs exactly through Re z1: Newton
+    # converges onto the line, which the box winding once must accept
+    z1, z2 = first_pair_roots
+    a = 1.2 * (z2.real - z1.real)
+    sp = complex_spectrum(antisymmetric_pair(1.0), 1.0, (z1.real - a, z1.real + a, 0.05, 2.0),
+                          tol=1e-10)
+    root = min(sp.roots, key=lambda r: abs(r.value - z1))
+    assert abs(root.value - z1) < 1e-10 and root.residual < 1e-10
+
+
+def test_split_retry_finds_the_generic_roots(first_pair_roots):
+    # the 0.5 split of this rectangle runs through z1, so a child hits the
+    # root on its contour and the quadrisection is redone at 0.513
+    z1, z2 = first_pair_roots
+    a = 1.2 * (z2.real - z1.real)
+    rect = (z1.real - 0.3 * a, z2.real + 0.3 * a, z1.imag - 0.5, z1.imag + 0.5)
+    sp = complex_spectrum(antisymmetric_pair(1.0), 1.0, rect, tol=1e-10)
+    assert len(sp.roots) == 2
+    assert sp.roots[0].value == z1  # Newton from another centre may differ in the last bit
+    assert abs(sp.roots[1].value - z2) < 1e-15
+    assert all(r.residual < 1e-10 for r in sp.roots)
+
+
+def test_root_on_the_boundary_is_nudged_off(first_pair_roots):
+    z1, _ = first_pair_roots
+    for rect in ((10.0, 16.0, z1.imag, 1.0), (z1.real, 16.0, 0.05, 1.0)):
+        sp = complex_spectrum(antisymmetric_pair(1.0), 1.0, rect, tol=1e-10)
+        assert len(sp.roots) == 2
+        assert abs(sp.roots[0].value - z1) < 1e-12
+
+
+def test_complex_search_makes_one_kernel_call_per_level(monkeypatch):
+    # each call carries a whole level of boxes, or one Newton iteration of
+    # all of them: the box-by-box search made 1 310 calls here
+    calls = []
+    kernel = spectra.determinant
+
+    def counted(V, g, k):
+        calls.append(np.size(g))
+        return kernel(V, g, k)
+
+    monkeypatch.setattr(spectra, "determinant", counted)
+    sp = complex_spectrum(antisymmetric_pair(1.0), 1.0, (10.0, 200.0, 0.05, 2.0))
+    assert len(sp.roots) == 61
+    assert len(calls) <= 150
+
+
 def test_phase_grid_validation():
     with pytest.raises(ValueError):
         phase_grid(square_bump(), 1.0, (0.0, 0.0, 0.0, 1.0), 8, 8)
@@ -385,3 +469,40 @@ def test_spectrum_invariant_under_translation_and_negation():
     assert len(base) == len(moved) == len(flipped) > 0
     assert max(abs(a - b) for a, b in zip(base, moved)) < 1e-9
     assert max(abs(a - b) for a, b in zip(base, flipped)) < 1e-9
+
+
+def _poisoned_determinant(roots, lines):
+    """A stand-in for D with simple zeros at roots that also vanishes on the
+    vertical lines x in lines inside 0 < Im < 1: every contour that runs
+    along one of them fails, as if it met a root there."""
+    def D(V, g, k):
+        g = np.asarray(g, dtype=complex)
+        d = np.prod([g - c for c in roots], axis=0)
+        return np.where(np.isin(g.real, lines) & (g.imag > 0) & (g.imag < 1), 0, d)
+    return D
+
+
+def test_failed_retries_move_up_to_the_parent_quadrisection(monkeypatch):
+    windings = spectra._ArgTracker.windings
+    seen = []
+
+    def spy(self, rects, h0):
+        seen.extend(rects)
+        return windings(self, rects, h0)
+
+    monkeypatch.setattr(spectra._ArgTracker, "windings", spy)
+    # all three split lines of the unit square fail: the search gives up
+    monkeypatch.setattr(spectra, "determinant",
+                        _poisoned_determinant([0.3 + 0.3j, 0.7 + 0.6j], [0.5, 0.513, 0.471]))
+    with pytest.raises(WindingMismatch, match="could not reconcile"):
+        complex_spectrum(square_bump(), 1.0, (0.0, 1.0, 0.0, 1.0))
+    # all three split lines of the lower-left child fail: the unit square is
+    # split again at 0.513, and that child's second split line is clean
+    roots = [0.1 + 0.1j, 0.2 + 0.3j]
+    monkeypatch.setattr(spectra, "determinant",
+                        _poisoned_determinant(roots, [0.25, 0.5 * 0.513, 0.5 * 0.471]))
+    seen.clear()
+    sp = complex_spectrum(square_bump(), 1.0, (0.0, 1.0, 0.0, 1.0))
+    assert (0.0, 0.513, 0.0, 0.513) in seen
+    assert len(sp.roots) == 2
+    assert max(abs(a - b) for a, b in zip(sp.values(), roots)) < 1e-12
