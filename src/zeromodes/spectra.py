@@ -436,8 +436,7 @@ def _subdivide(tracker: _ArgTracker, rect, tol: float, h0: float):
                 polish.append((box, w, diam, complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))))
             else:
                 split(box, 0)
-        zs, resids = _newton_polish(tracker.fun, np.array([p[3] for p in polish], dtype=complex),
-                                    tol, rect)
+        zs, resids = _newton_polish(tracker.fun, np.array([p[3] for p in polish]), tol, rect)
         for (box, w, diam, zc), z, resid in zip(polish, zs.tolist(), resids.tolist()):
             x0, x1, y0, y1 = box[0]
             # a box that winds once holds exactly one root: Newton must land
