@@ -208,10 +208,7 @@ def _is_antisymmetric(V: PiecewiseConstantPotential) -> bool:
     if hull is None:
         return False
     c = 0.5 * (hull[0] + hull[1])
-    flipped = pot.canonicalize(PiecewiseConstantPotential(
-        tuple(2.0 * c - b for b in reversed(W.breakpoints)),
-        tuple(-v for v in reversed(W.values)),
-    ))
+    flipped = pot.canonicalize(pot.translate(pot.negate(pot.mirror(W)), 2.0 * c))
     if len(flipped.values) != len(W.values):
         return False
     scale = max(abs(b) for b in W.breakpoints) + 1.0

@@ -10,7 +10,8 @@ Potentials are given in a mini-language: `w:[a0,a1,...]:v1,v2,...` for a
 step potential, or a named analytic potential such as `hrp`.  Every
 command is deterministic: fixed grids, no randomness, order-deterministic
 assembly, so identical invocations produce byte-identical outputs.  A
---config file supplies key=value defaults; explicit flags override it.
+--config file of key=value lines sets option defaults (a key that names
+no option of the subcommand is ignored); explicit flags override it.
 
 Exit codes: 0 ok, 2 usage/validation error, 3 numerical failure.
 """
@@ -26,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import asymptotics, closedform, potential, prufer, spectra
-from .errors import UnknownExample, ZeromodesError
+from .errors import LengthMismatch, NonMonotoneBreakpoints, UnknownExample, ZeromodesError
 
 __all__ = ["main", "parse_potential", "reproduce_example"]
 
@@ -35,7 +36,7 @@ def parse_potential(text: str) -> potential.Potential:
     """Parse the potential mini-language.
 
     `w:[-1,1]:1` -> step potential with breakpoints -1, 1 and value 1;
-    `hrp` -> the analytic -1/cosh well.
+    `hrp` -> the analytic -1/cosh well.  A malformed spec raises ValueError.
     """
     text = text.strip()
     if text == "hrp":
@@ -44,12 +45,12 @@ def parse_potential(text: str) -> potential.Potential:
         try:
             _, bp_part, val_part = text.split(":", 2)
             if not (bp_part.startswith("[") and bp_part.endswith("]")):
-                raise ValueError
+                raise ValueError("breakpoints must be bracketed")
             bps = [float(s) for s in bp_part[1:-1].split(",")]
             vals = [float(s) for s in val_part.split(",")]
-        except ValueError:
-            raise ValueError(f"malformed step potential spec {text!r}") from None
-        return potential.build_w(bps, vals)
+            return potential.build_w(bps, vals)
+        except (ValueError, NonMonotoneBreakpoints, LengthMismatch) as exc:
+            raise ValueError(f"malformed step potential spec {text!r}: {exc}") from None
     raise ValueError(f"unknown potential spec {text!r}")
 
 
@@ -66,103 +67,72 @@ def _read_config(path: str) -> dict[str, str]:
     return out
 
 
-def _merge_config(args: argparse.Namespace, casts: dict[str, type]) -> None:
-    """Fill unset (None) argument slots from the config file, if any."""
-    if not getattr(args, "config", None):
-        return
-    conf = _read_config(args.config)
-    for key, val in conf.items():
-        if key in casts and getattr(args, key, None) is None:
-            setattr(args, key, casts[key](val))
+def _emit(path, text: str) -> None:
+    """Write text to path, or to stdout when no path is given."""
+    if path:
+        Path(path).write_text(text)
+    else:
+        sys.stdout.write(text)
 
 
-def _out_stream(path):
-    return open(path, "w") if path else sys.stdout
+def _report_json(pred, rep) -> str:
+    payload = {"prediction": json.loads(pred.to_json()), "comparison": json.loads(rep.to_json())}
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def _validate_common(args) -> None:
     if args.k is None:
         raise ValueError("--k is required")
-    if args.k <= 0:
-        raise ValueError("--k must be positive")
+    if not 0 < args.k < math.inf:
+        raise ValueError("--k must be positive and finite")
     if args.potential is None:
         raise ValueError("--potential is required")
 
 
 def _cmd_spectrum(args) -> int:
-    _merge_config(args, {"potential": str, "k": float, "R": float, "tol": float,
-                         "re_min": float, "re_max": float, "im_min": float,
-                         "im_max": float, "out": str})
     _validate_common(args)
     V = parse_potential(args.potential)
-    tol = args.tol if args.tol is not None else 1e-9
-    rect_given = [args.re_min, args.re_max, args.im_min, args.im_max]
-    if args.R is None and any(r is None for r in rect_given):
-        raise ValueError("need --R (real scan) or a full --re-min/--re-max/--im-min/--im-max rectangle")
+    rect = (args.re_min, args.re_max, args.im_min, args.im_max)
     if args.R is not None:
-        sp = spectra.real_spectrum(V, args.k, args.R, tol=tol)
+        sp = spectra.real_spectrum(V, args.k, args.R, tol=args.tol)
+    elif None in rect:
+        raise ValueError("need --R (real scan) or a full --re-min/--re-max/--im-min/--im-max rectangle")
+    elif not isinstance(V, potential.PiecewiseConstantPotential):
+        raise ValueError("complex search requires a step potential")
     else:
-        if not isinstance(V, potential.PiecewiseConstantPotential):
-            raise ValueError("complex search requires a step potential")
-        sp = spectra.complex_spectrum(V, args.k, tuple(rect_given), tol=tol)
-    stream = _out_stream(args.out)
-    stream.write(sp.to_json_lines())
-    if stream is not sys.stdout:
-        stream.close()
+        sp = spectra.complex_spectrum(V, args.k, rect, tol=args.tol)
+    _emit(args.out, sp.to_json_lines())
     return 0
 
 
 def _cmd_count_compare(args) -> int:
-    _merge_config(args, {"potential": str, "k": float, "R": float, "tol": float,
-                         "out": str})
     _validate_common(args)
     if args.R is None:
         raise ValueError("--R is required")
     V = parse_potential(args.potential)
     if not isinstance(V, potential.PiecewiseConstantPotential):
         raise ValueError("count-compare predictions require a step potential")
-    tol = args.tol if args.tol is not None else 1e-9
-    sp = spectra.real_spectrum(V, args.k, args.R, tol=tol)
+    sp = spectra.real_spectrum(V, args.k, args.R, tol=args.tol)
     pred = asymptotics.predict(V, args.k)
-    report = asymptotics.compare(sp, pred, args.R)
-    payload = {
-        "prediction": json.loads(pred.to_json()),
-        "comparison": json.loads(report.to_json()),
-    }
-    stream = _out_stream(args.out)
-    stream.write(json.dumps(payload, indent=2) + "\n")
-    if stream is not sys.stdout:
-        stream.close()
+    _emit(args.out, _report_json(pred, asymptotics.compare(sp, pred, args.R)))
     return 0
 
 
 def _cmd_phaseplot(args) -> int:
-    _merge_config(args, {"potential": str, "k": float, "re_min": float, "re_max": float,
-                         "im_min": float, "im_max": float, "nx": int, "ny": int,
-                         "out_prefix": str})
     _validate_common(args)
     rect = (args.re_min, args.re_max, args.im_min, args.im_max)
-    if any(r is None for r in rect):
+    if None in rect:
         raise ValueError("phaseplot needs the full rectangle")
-    if not (rect[1] > rect[0] and rect[3] > rect[2]):
-        raise ValueError("rectangle must have positive area")
     V = parse_potential(args.potential)
     if not isinstance(V, potential.PiecewiseConstantPotential):
         raise ValueError("phase plots require a step potential")
-    nx = args.nx if args.nx is not None else 240
-    ny = args.ny if args.ny is not None else 160
-    grid = spectra.phase_grid(V, args.k, rect, nx, ny)
-    prefix = args.out_prefix if args.out_prefix is not None else "phase"
-    grid.to_ppm(f"{prefix}.ppm")
-    grid.to_csv(f"{prefix}.csv")
+    grid = spectra.phase_grid(V, args.k, rect, args.nx, args.ny)
+    grid.to_ppm(f"{args.out_prefix}.ppm")
+    grid.to_csv(f"{args.out_prefix}.csv")
     return 0
 
 
 # --- canned demonstration scenarios -------------------------------------------
-
-
-def _write_roots(sp, path) -> None:
-    Path(path).write_text(sp.to_json_lines())
 
 
 def _write_curve_csv(path, header: str, rows) -> None:
@@ -184,7 +154,7 @@ def _count_trace_rows(sp, R_values):
 def _square_bump_bundle(outdir: Path, k: float = 1.0) -> list[str]:
     V = potential.build_w([-1.0, 1.0], [1.0])
     sp = spectra.real_spectrum(V, k, 20.0, tol=1e-10)
-    _write_roots(sp, outdir / "2.1_roots.jsonl")
+    _emit(outdir / "2.1_roots.jsonl", sp.to_json_lines())
     gs = np.linspace(0.0, 20.0, 801)
     rows = zip(gs, closedform.determinant(V, gs, k).real)
     _write_curve_csv(outdir / "2.1_determinant.csv", "gamma,det", rows)
@@ -207,7 +177,7 @@ def _antisymmetric_bundle(outdir: Path, k: float = 1.0) -> list[str]:
         _write_curve_csv(outdir / f"{tag}_determinant.csv", "gamma,det", rows)
         rect = (5.0, 30.0, 0.2, 3.0)
         cs = spectra.complex_spectrum(V, k, rect, tol=1e-10)
-        _write_roots(cs, outdir / f"{tag}_complex_roots.jsonl")
+        _emit(outdir / f"{tag}_complex_roots.jsonl", cs.to_json_lines())
         # accompanying asymptote curve for the imaginary parts
         res = np.linspace(6.0, 30.0, 121)
         if g == 0.0:
@@ -239,10 +209,7 @@ def _count_bundle(outdir: Path, example_id: str, k: float = 1.0) -> list[str]:
                          _count_trace_rows(sp, np.arange(5.0, 151.0, 5.0)))
         pred = asymptotics.predict(V, k)
         rep = asymptotics.compare(sp, pred, 150.0)
-        (outdir / f"{tag}_report.json").write_text(json.dumps({
-            "prediction": json.loads(pred.to_json()),
-            "comparison": json.loads(rep.to_json()),
-        }, indent=2) + "\n")
+        _emit(outdir / f"{tag}_report.json", _report_json(pred, rep))
         written += [f"{tag}_count.csv", f"{tag}_report.json"]
     return written
 
@@ -257,7 +224,7 @@ def _sech_well_bundle(outdir: Path) -> list[str]:
         rows = [(g, math.cos(d)) for g, d in zip(curve.gammas, curve.delta_values)]
         _write_curve_csv(outdir / f"{tag}_cosdelta.csv", "gamma,cos_delta", rows)
         sp = spectra.real_spectrum(V, k, 6.0, tol=1e-8)
-        _write_roots(sp, outdir / f"{tag}_roots.jsonl")
+        _emit(outdir / f"{tag}_roots.jsonl", sp.to_json_lines())
         written += [f"{tag}_cosdelta.csv", f"{tag}_roots.jsonl"]
     return written
 
@@ -267,7 +234,7 @@ _SCENARIOS = {
     "2.2": _antisymmetric_bundle,
     "2.3": lambda outdir: _count_bundle(outdir, "2.3"),
     "2.4": lambda outdir: _count_bundle(outdir, "2.4"),
-    "2.5": lambda outdir: _sech_well_bundle(outdir),
+    "2.5": _sech_well_bundle,
 }
 
 
@@ -281,71 +248,85 @@ def reproduce_example(example_id: str, outdir) -> list[str]:
 
 
 def _cmd_reproduce(args) -> int:
-    _merge_config(args, {"example": str, "outdir": str})
     if args.example is None:
         raise ValueError("--example is required")
-    files = reproduce_example(args.example, args.outdir if args.outdir else ".")
-    for name in files:
+    for name in reproduce_example(args.example, args.outdir):
         print(name)
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """Every option with its type and default; returns the parser and the
+    subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="zeromodes",
         description="Zero-mode coupling spectra for 1D Dirac systems with decaying potentials.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--config", help="file of key=value option defaults; flags override it")
+        p.set_defaults(func=func)
+        return p
+
     def add_common(p):
-        p.add_argument("--config", help="key=value defaults file; flags override")
         p.add_argument("--potential", "-p", help="w:[a0,a1,...]:v1,... or hrp")
         p.add_argument("--k", type=float, help="transverse frequency, > 0")
 
-    p_spec = sub.add_parser("spectrum", help="locate eigenvalue couplings")
-    add_common(p_spec)
-    p_spec.add_argument("--R", type=float, help="real scan upper bound")
-    p_spec.add_argument("--tol", type=float, help="root residual tolerance (default 1e-9)")
-    p_spec.add_argument("--re-min", type=float, dest="re_min")
-    p_spec.add_argument("--re-max", type=float, dest="re_max")
-    p_spec.add_argument("--im-min", type=float, dest="im_min")
-    p_spec.add_argument("--im-max", type=float, dest="im_max")
-    p_spec.add_argument("--out", help="JSON-lines output path (default stdout)")
-    p_spec.set_defaults(func=_cmd_spectrum)
+    def add_search(p, r_help, out_help):
+        p.add_argument("--R", type=float, help=r_help)
+        p.add_argument("--tol", type=float, default=1e-9,
+                       help="root tolerance, > 0 (default %(default)s)")
+        p.add_argument("--out", help=f"{out_help} path (default stdout)")
 
-    p_cc = sub.add_parser("count-compare", help="empirical density vs prediction")
-    add_common(p_cc)
-    p_cc.add_argument("--R", type=float, help="count interval upper bound")
-    p_cc.add_argument("--tol", type=float)
-    p_cc.add_argument("--out", help="JSON report path (default stdout)")
-    p_cc.set_defaults(func=_cmd_count_compare)
+    def add_rect(p):
+        for edge in ("re-min", "re-max", "im-min", "im-max"):
+            p.add_argument(f"--{edge}", type=float, help="edge of the complex rectangle")
 
-    p_pp = sub.add_parser("phaseplot", help="arg D over a complex rectangle")
-    add_common(p_pp)
-    p_pp.add_argument("--re-min", type=float, dest="re_min")
-    p_pp.add_argument("--re-max", type=float, dest="re_max")
-    p_pp.add_argument("--im-min", type=float, dest="im_min")
-    p_pp.add_argument("--im-max", type=float, dest="im_max")
-    p_pp.add_argument("--nx", type=int)
-    p_pp.add_argument("--ny", type=int)
-    p_pp.add_argument("--out-prefix", dest="out_prefix", help="writes PREFIX.ppm and PREFIX.csv")
-    p_pp.set_defaults(func=_cmd_phaseplot)
+    p = add_command("spectrum", _cmd_spectrum, "locate eigenvalue couplings")
+    add_common(p)
+    add_search(p, "real scan upper bound", "JSON-lines output")
+    add_rect(p)
 
-    p_rep = sub.add_parser("reproduce", help="run a canned demonstration scenario")
-    p_rep.add_argument("--config")
-    p_rep.add_argument("--example", choices=sorted(_SCENARIOS), help="scenario id")
-    p_rep.add_argument("--outdir", help="output directory (default .)")
-    p_rep.set_defaults(func=_cmd_reproduce)
-    return parser
+    p = add_command("count-compare", _cmd_count_compare, "empirical density vs prediction")
+    add_common(p)
+    add_search(p, "count interval upper bound", "JSON report")
+
+    p = add_command("phaseplot", _cmd_phaseplot, "arg D over a complex rectangle")
+    add_common(p)
+    add_rect(p)
+    p.add_argument("--nx", type=int, default=240, help="grid columns (default %(default)s)")
+    p.add_argument("--ny", type=int, default=160, help="grid rows (default %(default)s)")
+    p.add_argument("--out-prefix", default="phase",
+                   help="writes PREFIX.ppm and PREFIX.csv (default %(default)s)")
+
+    p = add_command("reproduce", _cmd_reproduce, "run a canned demonstration scenario")
+    p.add_argument("--example", choices=sorted(_SCENARIOS), help="scenario id")
+    p.add_argument("--outdir", default=".", help="output directory (default %(default)s)")
+    return parser, sub.choices
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """Parse argv.  A --config key that names an option of the chosen
+    subcommand becomes that option's default, so argparse converts it with
+    the option's own type and an explicit flag still overrides it; other
+    keys are ignored."""
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        options = vars(args).keys() - {"command", "func", "config"}
+        conf = _read_config(args.config)
+        commands[args.command].set_defaults(**{k: v for k, v in conf.items() if k in options})
+        args = parser.parse_args(argv)
+    return args
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse uses exit code 2 for usage errors
-        return int(exc.code) if exc.code else 0
-    try:
+        args = _parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # argparse exits with 2 on usage errors
+        return int(exc.code) if exc.code else 0
     except (ValueError, OSError, UnknownExample) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -142,11 +142,14 @@ class OneGapParams:
 def build_w(breakpoints, values) -> PiecewiseConstantPotential:
     """Construct a compactly supported step potential.
 
-    Raises NonMonotoneBreakpoints unless the breakpoints strictly increase,
-    and LengthMismatch unless len(values) == len(breakpoints) - 1.
+    Raises ValueError unless every number is finite, NonMonotoneBreakpoints
+    unless the breakpoints strictly increase, and LengthMismatch unless
+    len(values) == len(breakpoints) - 1.
     """
     bp = tuple(float(b) for b in breakpoints)
     vals = tuple(float(v) for v in values)
+    if not all(map(math.isfinite, bp + vals)):
+        raise ValueError("breakpoints and values must be finite")
     if len(bp) < 2:
         raise LengthMismatch("need at least two breakpoints")
     if len(vals) != len(bp) - 1:

@@ -207,6 +207,13 @@ def _refine(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: np.ndarray,
         kept[ia], kept[ib] = 1, -1
 
 
+def _check_rectangle(rectangle) -> tuple[float, float, float, float]:
+    rect = x0, x1, y0, y1 = tuple(float(t) for t in rectangle)
+    if not (all(map(math.isfinite, rect)) and x1 > x0 and y1 > y0):
+        raise ValueError("rectangle must be finite with positive area")
+    return rect
+
+
 def real_spectrum(V: Potential, k: float, R: float, tol: float = 1e-9,
                   method: str = "delta") -> GammaSpectrum:
     """All real couplings in [0, R] admitting a confined zero mode.
@@ -219,8 +226,10 @@ def real_spectrum(V: Potential, k: float, R: float, tol: float = 1e-9,
     """
     if k <= 0:
         raise NonPositiveK("k must be positive")
-    if R <= 0:
-        raise ValueError("R must be positive")
+    if not 0 < R < math.inf:
+        raise ValueError("R must be positive and finite")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     if isinstance(V, PiecewiseConstantPotential) and V.support_hull() is None:
         return GammaSpectrum((), (0.0, R), k)
 
@@ -469,9 +478,9 @@ def complex_spectrum(V: PiecewiseConstantPotential, k: float,
     """
     if k <= 0:
         raise NonPositiveK("k must be positive")
-    x0, x1, y0, y1 = (float(t) for t in rectangle)
-    if not (x1 > x0 and y1 > y0):
-        raise ValueError("rectangle must have positive area")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
+    x0, x1, y0, y1 = _check_rectangle(rectangle)
     fun = lambda z: determinant(V, z, k)
     h0 = min(1.0, _scan_step(V, k))
 
@@ -558,13 +567,9 @@ def phase_grid(V: PiecewiseConstantPotential, k: float,
         raise NonPositiveK("k must be positive")
     if nx < 2 or ny < 2:
         raise ValueError("nx and ny must be >= 2")
-    x0, x1, y0, y1 = (float(t) for t in rectangle)
-    if not (x1 > x0 and y1 > y0):
-        raise ValueError("rectangle must have positive area")
-    xs = x0 + (np.arange(nx) + 0.5) * (x1 - x0) / nx
-    ys = y0 + (np.arange(ny) + 0.5) * (y1 - y0) / ny
-    args = np.empty((ny, nx))
+    grid = PhaseGrid(_check_rectangle(rectangle), nx, ny, np.empty((ny, nx)))
+    xs, ys = grid.cell_centers()
     for j, y in enumerate(ys):  # one call per row keeps the peak memory flat
         d = determinant(V, xs + 1j * y, k)
-        args[j] = np.arctan2(d.imag, d.real)
-    return PhaseGrid((x0, x1, y0, y1), nx, ny, args)
+        grid.arg_values[j] = np.arctan2(d.imag, d.real)
+    return grid

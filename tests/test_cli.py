@@ -217,3 +217,46 @@ def test_unconverged_scan_fails_fast(capsys):
     assert code == 3
     assert err.startswith("numerical failure:")
     assert time.perf_counter() - start < 15.0
+
+
+_BUMP = ["-p", "w:[-1,1]:1", "--k", "1"]
+_RECT = ["--re-min", "0", "--re-max", "inf", "--im-min", "0.1", "--im-max", "1"]
+
+
+@pytest.mark.parametrize("argv, name", [
+    pytest.param(["spectrum", "-p", "w:[1,0]:1", "--k", "1", "--R", "5"], "w:[1,0]:1",
+                 id="non-monotone-spec"),
+    pytest.param(["spectrum", "-p", "w:[-1,1]:1,2", "--k", "1", "--R", "5"], "w:[-1,1]:1,2",
+                 id="value-count-spec"),
+    pytest.param(["spectrum", "-p", "w:[-1,1]:1", "--k", "inf", "--R", "5"], "--k", id="k-inf"),
+    pytest.param(["spectrum", "-p", "w:[-1,1]:1", "--k", "nan", "--R", "5"], "--k", id="k-nan"),
+    pytest.param(["spectrum", *_BUMP, "--R", "inf"], "R must", id="R-inf"),
+    pytest.param(["spectrum", *_BUMP, "--R", "nan"], "R must", id="R-nan"),
+    pytest.param(["spectrum", "-p", "w:[-1,1]:inf", "--k", "1", "--R", "5"], "finite",
+                 id="value-inf"),
+    pytest.param(["spectrum", "-p", "w:[-1,inf]:1", "--k", "1", "--R", "5"], "finite",
+                 id="breakpoint-inf"),
+    pytest.param(["spectrum", *_BUMP, *_RECT], "rectangle", id="spectrum-re-max-inf"),
+    pytest.param(["phaseplot", *_BUMP, *_RECT], "rectangle", id="phaseplot-re-max-inf"),
+])
+def test_malformed_or_nonfinite_input_is_usage_error(capsys, argv, name):
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith("error:") and name in err
+
+
+def test_config_file_sets_phaseplot_options(tmp_path, capsys):
+    conf = tmp_path / "plot.conf"
+    conf.write_text("potential=w:[-1,1]:1\nk=1\nre-min=-5\nre_max=5\nim-min=-2\nim-max=2\n"
+                    f"nx=6\nny=4\nout-prefix={tmp_path / 'fromconf'}\nno-such-option=7\n")
+    code, _, _ = run(["phaseplot", "--config", str(conf)], capsys)
+    assert code == 0
+    assert (tmp_path / "fromconf.ppm").read_bytes().startswith(b"P6\n6 4\n255\n")
+    rows = (tmp_path / "fromconf.csv").read_text().splitlines()
+    assert len(rows) == 1 + 6 * 4 and rows[1].startswith("-4.1")
+    code, _, _ = run(["phaseplot", "--config", str(conf), "--ny", "3"], capsys)
+    assert code == 0
+    assert (tmp_path / "fromconf.ppm").read_bytes().startswith(b"P6\n6 3\n255\n")
+    conf.write_text(conf.read_text() + "nx=abc\n")
+    code, _, _ = run(["phaseplot", "--config", str(conf)], capsys)
+    assert code == 2

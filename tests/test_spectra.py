@@ -8,7 +8,7 @@ from scipy.integrate import solve_ivp
 
 from zeromodes import prufer, spectra
 from zeromodes.errors import NonPositiveK, RegionTooSmall, WindingMismatch
-from zeromodes.potential import build_w, negate, translate
+from zeromodes.potential import build_w, hrp_potential, negate, translate
 from zeromodes.spectra import (
     complex_spectrum,
     counting_function,
@@ -506,3 +506,24 @@ def test_failed_retries_move_up_to_the_parent_quadrisection(monkeypatch):
     assert (0.0, 0.513, 0.0, 0.513) in seen
     assert len(sp.roots) == 2
     assert max(abs(a - b) for a, b in zip(sp.values(), roots)) < 1e-12
+
+
+@pytest.mark.parametrize("tol", [-1e-9, math.nan, 0.0])
+def test_nonpositive_tol_rejected(monkeypatch, tol):
+    # a refiner that cannot meet its width test would run forever; a bounded
+    # kernel turns that into a failure instead of a hang
+    calls = []
+    kernel = spectra.delta_grid
+
+    def bounded(*args, **kwargs):
+        calls.append(1)
+        if len(calls) > 1000:
+            raise RuntimeError("delta_grid called more than 1000 times")
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(spectra, "delta_grid", bounded)
+    for V in (square_bump(), hrp_potential()):
+        with pytest.raises(ValueError, match="tol"):
+            real_spectrum(V, 1.0, 5.0, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        complex_spectrum(antisymmetric_pair(1.0), 1.0, (5.0, 10.0, 0.2, 2.0), tol=tol)
