@@ -17,7 +17,12 @@ adaptive high-order ODE solve per Delta evaluation: its state holds the
 angles of both branches over all couplings (2n components), each branch
 walking from its truncation edge toward the origin in a shared variable,
 so the branches and the couplings share the steps.  The tolerances are
-divided by sqrt(2n).
+divided by sqrt(2n).  When the slope d(Delta)/d(gamma) is asked for, the
+same solve also carries the variational equation of each angle (2n more
+components).  Those components get an infinite absolute tolerance, so the
+error norm sees only the angles, and the tolerances are divided by
+sqrt(4n) to keep each angle's budget; such a solve also halves the
+relative tolerance, since a refined root is read from one of them.
 
 Matching conventions (zero sets are convention independent):
 
@@ -171,9 +176,10 @@ def _lift(W: PiecewiseConstantPotential, gammas: np.ndarray, theta: float,
 
 def _walk_ode(theta0: Sequence[float], x0: Sequence[float], direction: Sequence[float],
               length: float, V, gammas: np.ndarray, k: float,
-              rtol: float = _ODE_RTOL) -> np.ndarray:
+              rtol: float = _ODE_RTOL, slope: bool = False):
     """Lifted angles, shape (branches, couplings), from one adaptive solve
-    whose state holds every branch for every coupling.
+    whose state holds every branch for every coupling; with slope, the pair
+    (angles, their derivatives in gamma) from the same solve.
 
     Branch b starts from theta0[b] at x0[b] and walks length in direction[b]
     (+1 or -1): it sits at x = x0[b] + direction[b]*s for the shared variable
@@ -183,12 +189,18 @@ def _walk_ode(theta0: Sequence[float], x0: Sequence[float], direction: Sequence[
     of the scaled error estimates over the components, so both tolerances
     are divided by the square root of their number: each component's
     estimate then stays within the budget of a solve of its own.
+
+    With slope, the state also holds p = d(state)/d(gamma), which obeys
+    dp/ds = V(x) - 2k*sin(2*state)*p from p = 0 (the edges do not move with
+    gamma).  The p components get an infinite atol, so their scaled errors
+    are 0 and the norm, taken over twice as many components, sees the
+    angles' errors alone: with the tolerances divided by the square root of
+    the whole state's size, each angle keeps the budget it has without p.
     """
     sign = np.asarray(direction, dtype=float)[:, None]
     start = sign * np.asarray(theta0, dtype=float)[:, None] * np.ones(gammas.size)
-    if length == 0:
-        return sign * start
-    shrink = 1.0 / math.sqrt(start.size)
+    n = start.size
+    y = np.concatenate([start.ravel(), np.zeros(n if slope else 0)])
     ends = [(float(a), float(d)) for a, d in zip(x0, direction)]
 
     def rhs(s, state):
@@ -196,12 +208,24 @@ def _walk_ode(theta0: Sequence[float], x0: Sequence[float], direction: Sequence[
         out += k * np.cos(2.0 * state)
         return out
 
-    sol = solve_ivp(rhs, (0.0, length), start.ravel(), method="DOP853",
-                    rtol=rtol * shrink, atol=_ODE_ATOL * shrink,
-                    t_eval=[length])  # store only the end state, not one per step
-    if not sol.success:
-        raise StepUnderflow(f"integrator stalled before s = {length:.6g}: {sol.message}")
-    return sign * sol.y[:, -1].reshape(start.shape)
+    def rhs_slope(s, state):
+        v = np.array([V(a + d * s) for a, d in ends])[:, None]
+        u, p = state.reshape((2,) + start.shape)
+        w = 2.0 * u
+        return np.concatenate([(v * gammas + k * np.cos(w)).ravel(),
+                               (v - 2.0 * k * np.sin(w) * p).ravel()])
+
+    if length != 0 and n != 0:
+        shrink = 1.0 / math.sqrt(y.size)
+        atol = np.where(np.arange(y.size) < n, _ODE_ATOL * shrink, np.inf)
+        sol = solve_ivp(rhs_slope if slope else rhs, (0.0, length), y, method="DOP853",
+                        rtol=rtol * shrink, atol=atol,
+                        t_eval=[length])  # store only the end state, not one per step
+        if not sol.success:
+            raise StepUnderflow(f"integrator stalled before s = {length:.6g}: {sol.message}")
+        y = sol.y[:, -1]
+    angles = sign * y[:n].reshape(start.shape)
+    return (angles, sign * y[n:].reshape(start.shape)) if slope else angles
 
 
 def _piece_segments(W: PiecewiseConstantPotential, x0: float, x1: float):
@@ -223,20 +247,34 @@ def delta_v(V: Potential, gamma: float, k: float) -> float:
 # --- vectorized grid evaluation ----------------------------------------------
 
 
-def delta_grid(V: Potential, gammas: Sequence[float], k: float) -> np.ndarray:
-    """Delta on a coupling grid: one closed-form sweep over the pieces (step
-    potentials) or one vector ODE solve holding both branches (analytic
-    potentials)."""
+def _check_k(k: float) -> None:
+    """The transverse frequency must be positive and finite."""
+    if not -math.inf < k < math.inf:
+        raise ValueError(f"k must be finite, got {k!r}")
     if k <= 0:
         raise NonPositiveK("k must be positive")
+
+
+def delta_grid(V: Potential, gammas: Sequence[float], k: float, slope: bool = False):
+    """Delta on a coupling grid: one closed-form sweep over the pieces (step
+    potentials) or one vector ODE solve holding both branches (analytic
+    potentials).  With slope (analytic potentials only), the pair (Delta,
+    d(Delta)/d(gamma)) from that one solve, run at half the relative
+    tolerance: Newton reads a refined root from one such evaluation, where
+    false position interpolated between two."""
+    _check_k(k)
     g = np.asarray(gammas, dtype=float)
     if isinstance(V, AnalyticPotential):
-        if g.size == 0:
-            return np.zeros(0)
         # share one cutoff across the grid so the scan is consistent
-        X = choose_truncation(V, float(np.max(np.abs(g))))
-        plus, minus = _walk_ode([-math.pi / 4, math.pi / 4], [X, -X], [-1.0, 1.0], X, V, g, k)
-        return -math.pi / 2 - plus + minus
+        X = choose_truncation(V, float(np.max(np.abs(g), initial=0.0)))
+        walk = _walk_ode([-math.pi / 4, math.pi / 4], [X, -X], [-1.0, 1.0], X, V, g, k,
+                         _ODE_RTOL * (0.5 if slope else 1.0), slope)
+        if not slope:
+            return -math.pi / 2 - walk[0] + walk[1]
+        (plus, minus), (dplus, dminus) = walk
+        return -math.pi / 2 - plus + minus, dminus - dplus
+    if slope:
+        raise ValueError("the slope of Delta comes from the ODE path: analytic potentials only")
 
     hull = V.support_hull()
     if hull is None or g.size == 0:
@@ -270,7 +308,8 @@ def is_eigenvalue(V: Potential, gamma: float, k: float, tol: float = 1e-9) -> Ei
 def _derivative_half(V, theta0: float, x0: float, x1: float, gamma: float, k: float):
     """Integrate (theta, S, I) from x0 to x1 where S tracks the running
     integral of sin(2 theta) back to x0 and I the weighted potential integral;
-    returns (theta(x1), S(x1), I(x1)).  Orientation-agnostic."""
+    returns (theta(x1), S(x1), I(x1)).  Orientation-agnostic; used on the
+    pieces of step potentials."""
 
     def rhs(x, y):
         th, S, _ = y
@@ -288,33 +327,23 @@ def _derivative_half(V, theta0: float, x0: float, x1: float, gamma: float, k: fl
 
 
 def delta_derivative(V: Potential, gamma: float, k: float) -> float:
-    """d(Delta)/d(gamma), via the exponential-weighted potential integral
-    along the already-propagated decaying branches (strictly positive for
-    nonnegative nontrivial V)."""
-    if k <= 0:
-        raise NonPositiveK("k must be positive")
-    if isinstance(V, PiecewiseConstantPotential):
-        hull = V.support_hull()
-        if hull is None:
-            return 0.0
-        a, b = hull
-        W = canonicalize(V)
-        th, S, acc = -math.pi / 4, 0.0, 0.0
-        for x0, x1, v in _piece_segments(W, b, a):  # descending traversal
-            th_n, dS, dI = _derivative_half(lambda _x, _v=v: _v, th, x0, x1, gamma, k)
-            # chain the running S offset into the new segment's I contribution
-            acc += math.exp(-2.0 * k * S) * dI
-            S += dS
-            th = th_n
-        return math.exp(2.0 * k * S) * acc
-
-    X = choose_truncation(V, gamma)
-    _, S_plus, I_plus = _derivative_half(V, -math.pi / 4, X, 0.0, gamma, k)
-    _, S_minus, I_minus = _derivative_half(V, math.pi / 4, -X, 0.0, gamma, k)
-    # right branch contribution: integral of exp(2k Psi[0,x]) V over (0, X)
-    right = math.exp(2.0 * k * S_plus) * I_plus
-    # left branch: the trackers run with x increasing, which flips the sign
-    # of both S and I relative to the descending convention, so the product
-    # comes out as minus the needed weighted integral
-    left = math.exp(2.0 * k * S_minus) * I_minus
-    return right - left
+    """d(Delta)/d(gamma) (strictly positive for nonnegative nontrivial V):
+    for analytic potentials from the variational equation of one Delta
+    solve; for step potentials via the exponential-weighted potential
+    integral along the decaying branch, piece by piece."""
+    _check_k(k)
+    if not isinstance(V, PiecewiseConstantPotential):
+        return float(delta_grid(V, [gamma], k, slope=True)[1][0])
+    hull = V.support_hull()
+    if hull is None:
+        return 0.0
+    a, b = hull
+    W = canonicalize(V)
+    th, S, acc = -math.pi / 4, 0.0, 0.0
+    for x0, x1, v in _piece_segments(W, b, a):  # descending traversal
+        th_n, dS, dI = _derivative_half(lambda _x, _v=v: _v, th, x0, x1, gamma, k)
+        # chain the running S offset into the new segment's I contribution
+        acc += math.exp(-2.0 * k * S) * dI
+        S += dS
+        th = th_n
+    return math.exp(2.0 * k * S) * acc

@@ -8,7 +8,10 @@ real matching determinant).  It scans a grid fine enough that a crossing
 cannot slip between nodes (an a-priori slope heuristic, self-corrected by
 rescanning at half step until the bracket count stabilises), then refines
 all brackets at once by vectorised Illinois false position, one grid
-evaluation per iteration.  trigzeros reuses the same refiner.
+evaluation per iteration.  On analytic potentials, where one ODE solve
+gives Delta and its slope, the refiner starts from an inverse cubic
+through the scan nodes and takes Newton steps, with false position as the
+fallback.  trigzeros reuses the same refiner.
 Complex couplings of step potentials are located by the phase winding of
 the matching determinant around rectangles, a whole level of boxes per
 kernel call through one cache per search, then by Newton batched likewise.
@@ -27,19 +30,19 @@ from scipy.optimize import brentq  # noqa: F401  (wrapped by bench/tracing.py)
 from .closedform import determinant
 from .errors import (
     BoundaryRoot,
-    NonPositiveK,
     RegionTooSmall,
     ScanStepTooCoarse,
     TrivialPotential,
     WindingMismatch,
 )
 from .potential import (
+    AnalyticPotential,
     PiecewiseConstantPotential,
     Potential,
     l1_norm,
     tail_l1,
 )
-from .prufer import delta_grid, delta_v  # noqa: F401  (delta_v stays importable from here)
+from .prufer import _check_k, delta_grid, delta_v  # noqa: F401  (delta_v stays importable)
 
 __all__ = [
     "Root",
@@ -158,45 +161,74 @@ def _sign_brackets(values: np.ndarray):
     return cells, np.zeros(cells.size)
 
 
-def _refine(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: np.ndarray,
-            hi: np.ndarray, flo: np.ndarray, fhi: np.ndarray, xtol: float) -> np.ndarray:
-    """Roots of f in all brackets [lo, hi] at once.
+def _inverse_cubic(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Zeros of y, one per column: where the cubic through the four points
+    (ys[i], xs[i]), which gives x as a function of y, reaches y = 0.  Where
+    y is not monotone over the points the result can be anywhere, or NaN."""
+    with np.errstate(all="ignore"):
+        return sum(xs[i] * np.prod([ys[m] / (ys[m] - ys[i]) for m in range(4) if m != i], axis=0)
+                   for i in range(4))
 
-    f(idx, x) returns the residuals of the brackets idx at the points x;
-    flo and fhi are the residuals already known at the ends, of opposite
-    signs unless one is exactly 0, in which case that end is the root.
-    Each iteration makes one call to f on the brackets still open: an
-    Illinois false-position point, kept inside the bracket by xtol/4 or two
-    float spacings of its ends, whichever is larger (so that it never
-    rounds onto an end), or the midpoint when the bracket has not halved in
-    three iterations.  A
-    bracket closes when f vanishes at the new point, which is then its
-    root, or when it is narrower than xtol (plus four ulps of its ends);
-    its root is then the false-position point of its end residuals.
+
+def _refine(f: Callable, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray, fhi: np.ndarray,
+            xtol: float, floor: float = 0.0,
+            guess: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of f in all brackets [lo, hi] at once, and their residuals.
+
+    f(idx, x) returns the residuals of the brackets idx at the points x, or
+    the pair (residuals, slopes); flo and fhi are the residuals already
+    known at the ends, of opposite signs unless one is exactly 0, in which
+    case that end is the root.  Each iteration makes one call to f on the
+    brackets still open, at one point per bracket:
+
+    * the guess on the first iteration, and afterwards the Newton point
+      from the last iterate while the Newton steps keep halving, if it lies
+      inside the bracket;
+    * otherwise an Illinois false-position point, or the midpoint when the
+      bracket has not halved in three iterations.
+
+    Every point is kept inside the bracket by xtol/4 or two float spacings
+    of its ends, whichever is larger, so that it never rounds onto an end.
+    A bracket closes when f vanishes at the new point, which is its root
+    with residual 0; when its Newton step is at most xtol, or at most floor
+    (the evaluation's noise) after the steps stop halving, with the Newton
+    point as its root and the step's size as its residual; or when it is
+    narrower than xtol (plus four ulps of its ends), with the
+    false-position point of its end residuals as its root and a NaN
+    (unknown) residual.
     """
     a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
     fa, fb = np.array(flo, dtype=float), np.array(fhi, dtype=float)
     root = np.where(fa == 0.0, a, np.where(fb == 0.0, b, np.nan))
+    resid = np.where(np.isnan(root), np.nan, 0.0)
     sa, sb = np.ones(a.size), np.ones(a.size)  # Illinois weights of fa and fb
     kept = np.zeros(a.size, dtype=int)  # end kept by the last step: -1 a, +1 b
     width = np.full((3, a.size), np.inf)  # widths 3, 2 and 1 iterations ago
+    # the next point where it is trusted: the guess, then Newton's
+    newton = np.full(a.size, np.nan) if guess is None else np.array(guess, dtype=float)
+    last = np.full(a.size, np.inf)  # size of the last Newton step
     while True:
         w = b - a
         done = np.isnan(root) & (w <= xtol + 8.9e-16 * np.maximum(abs(a), abs(b)))
         root[done] = (b - fb * w / (fb - fa))[done]
         idx = np.nonzero(np.isnan(root))[0]
         if idx.size == 0:
-            return root
+            return root, resid
         ai, bi, wi = a[idx], b[idx], w[idx]
         fai, fbi = sa[idx] * fa[idx], sb[idx] * fb[idx]
         margin = np.maximum(0.25 * xtol, 2.0 * np.spacing(np.maximum(abs(ai), abs(bi))))
         x = np.clip(bi - fbi * wi / (fbi - fai), ai + margin, bi - margin)
         stalled = wi > 0.5 * width[0, idx]
         x[stalled] = 0.5 * (ai + bi)[stalled]
+        xn = newton[idx]
+        inside = (xn > ai) & (xn < bi)  # False where there is no Newton point
+        x[inside] = np.clip(xn, ai + margin, bi - margin)[inside]
         width[:-1, idx] = width[1:, idx]
         width[-1, idx] = wi
         fx = f(idx, x)
-        root[idx[fx == 0.0]] = x[fx == 0.0]
+        fx, dfx = fx if isinstance(fx, tuple) else (fx, None)
+        zero = fx == 0.0
+        root[idx[zero]], resid[idx[zero]] = x[zero], 0.0
         left = np.sign(fx) == np.sign(fai)  # the root lies in (x, b)
         ia, ib = idx[left], idx[~left]
         a[ia], fa[ia], sa[ia] = x[left], fx[left], 1.0
@@ -205,6 +237,16 @@ def _refine(f: Callable[[np.ndarray, np.ndarray], np.ndarray], lo: np.ndarray,
         sb[ia[kept[ia] == 1]] *= 0.5
         sa[ib[kept[ib] == -1]] *= 0.5
         kept[ia], kept[ib] = 1, -1
+        newton[idx] = np.nan
+        if dfx is not None:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = fx / dfx
+            size = abs(step)
+            halving = size <= 0.5 * last[idx]
+            close = (size <= xtol) | (~halving & (size <= floor))
+            root[idx[close]], resid[idx[close]] = (x - step)[close], size[close]
+            newton[idx] = np.where(halving, x - step, np.nan)
+            last[idx] = size
 
 
 def _check_rectangle(rectangle) -> tuple[float, float, float, float]:
@@ -221,11 +263,12 @@ def real_spectrum(V: Potential, k: float, R: float, tol: float = 1e-9,
     method "delta" scans the matching defect for crossings of the levels
     (n + 1/2)*pi (works for every potential); "determinant" scans the real
     matching determinant for sign changes (step potentials only) and serves
-    as the independent cross-check pipeline.  Both share the scan, the
-    batched refinement and the residual certificate.
+    as the independent cross-check pipeline.  Both share the scan and the
+    batched refinement.  A root's residual is its distance to the level
+    over the slope: from the last Newton step on analytic potentials,
+    otherwise from a central difference at the root.
     """
-    if k <= 0:
-        raise NonPositiveK("k must be positive")
+    _check_k(k)
     if not 0 < R < math.inf:
         raise ValueError("R must be positive and finite")
     if not 0 < tol < math.inf:
@@ -236,12 +279,13 @@ def real_spectrum(V: Potential, k: float, R: float, tol: float = 1e-9,
     if method == "delta":
         values = lambda g: delta_grid(V, g, k)
         brackets, slope_floor = _delta_brackets, 1e-3
+        newton = isinstance(V, AnalyticPotential)  # its ODE solve also gives the slope
     elif method == "determinant":
         if not isinstance(V, PiecewiseConstantPotential):
             raise TrivialPotential("determinant pipeline needs a step potential")
         # the closed-form matching determinant: shares no kernel with Delta
         values = lambda g: determinant(V, g, k).real
-        brackets, slope_floor = _sign_brackets, 1e-30
+        brackets, slope_floor, newton = _sign_brackets, 1e-30, False
     else:
         raise ValueError(f"unknown method {method!r}")
 
@@ -260,13 +304,27 @@ def real_spectrum(V: Potential, k: float, R: float, tol: float = 1e-9,
             found = brackets(fvals)
             if found is not None and len(found[0]) == len(coarse[0]):
                 cells, levels = found
-                g = _refine(lambda idx, x: values(x) - levels[idx],
-                            fine[cells], fine[cells + 1], fvals[cells] - levels,
-                            fvals[cells + 1] - levels, min(tol, 1e-12))
-                # certificate: distance to the level over a central-difference slope
-                h = 1e-6
-                minus, at, plus = np.split(values(np.concatenate([g - h, g, g + h])), 3)
-                resid = abs(at - levels) / np.maximum(abs(plus - minus) / (2 * h), slope_floor)
+                if newton:
+                    def f(idx, x):
+                        d, slope = delta_grid(V, x, k, slope=True)
+                        return d - levels[idx], slope
+
+                    # start from the inverse cubic through the four scan
+                    # nodes around each cell
+                    j = np.clip(cells - 1, 0, fine.size - 4) + np.arange(4)[:, None]
+                    guess = _inverse_cubic(fine[j], fvals[j] - levels)
+                else:
+                    f, guess = (lambda idx, x: values(x) - levels[idx]), None
+                g, resid = _refine(f, fine[cells], fine[cells + 1], fvals[cells] - levels,
+                                   fvals[cells + 1] - levels, min(tol, 1e-12), tol, guess)
+                # certificate where no Newton step gave one: distance to the
+                # level over a central-difference slope
+                need = np.isnan(resid)
+                if need.any():
+                    h, gn = 1e-6, g[need]
+                    minus, at, plus = np.split(values(np.concatenate([gn - h, gn, gn + h])), 3)
+                    resid[need] = abs(at - levels[need]) / np.maximum(abs(plus - minus) / (2 * h),
+                                                                      slope_floor)
                 roots = [Root(complex(x), float(r), f"{method}-bisect") for x, r in zip(g, resid)]
                 return GammaSpectrum(_merge_sorted(roots), (0.0, R), k)
         step *= 0.5
@@ -476,8 +534,7 @@ def complex_spectrum(V: PiecewiseConstantPotential, k: float,
     winding; any mismatch raises instead of silently dropping a root.  A
     root too close to the boundary triggers an automatic 1e-6 outward nudge.
     """
-    if k <= 0:
-        raise NonPositiveK("k must be positive")
+    _check_k(k)
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     x0, x1, y0, y1 = _check_rectangle(rectangle)
@@ -563,8 +620,7 @@ def phase_grid(V: PiecewiseConstantPotential, k: float,
                rectangle: tuple[float, float, float, float],
                nx: int, ny: int) -> PhaseGrid:
     """Sample arg D at the cell centers of an nx-by-ny grid."""
-    if k <= 0:
-        raise NonPositiveK("k must be positive")
+    _check_k(k)
     if nx < 2 or ny < 2:
         raise ValueError("nx and ny must be >= 2")
     grid = PhaseGrid(_check_rectangle(rectangle), nx, ny, np.empty((ny, nx)))

@@ -224,8 +224,8 @@ def scan_zeros(params: TrigParams, lo: float, hi: float, grid_step: float) -> Ze
     sgn = np.sign(vals)
     crossing = (sgn[:-1] * sgn[1:]) < 0
     cells = np.nonzero(crossing)[0]
-    found = _refine(lambda idx, x: f_value(params, x), xs[cells], xs[cells + 1],
-                    vals[cells], vals[cells + 1], 1e-12)
+    found, _ = _refine(lambda idx, x: f_value(params, x), xs[cells], xs[cells + 1],
+                       vals[cells], vals[cells + 1], 1e-12)
     roots.extend(found.tolist())
     tangential = tuple(found[energy(params, found) < _TANGENT_ENERGY].tolist())
 

@@ -160,6 +160,23 @@ def test_delta_derivative_analytic_matches_fd(sech_well):
     assert abs(d - fd) < 1e-5
 
 
+@pytest.mark.parametrize("gamma", [0.5, 2.0, 5.5, 20.0])
+def test_variational_slope_matches_central_difference(sech_well, gamma):
+    # d(Delta)/d(gamma) from the variational components of the Delta solve
+    delta, slope = delta_grid(sech_well, [gamma], 1.0, slope=True)
+    h = 1e-5
+    minus, plus = delta_grid(sech_well, [gamma - h, gamma + h], 1.0)
+    fd = (plus - minus) / (2 * h)
+    assert abs(slope[0] - fd) < 1e-6 * abs(fd)
+    assert abs(delta[0] - delta_v(sech_well, gamma, 1.0)) < 1e-7
+    assert delta_derivative(sech_well, gamma, 1.0) == slope[0]
+
+
+def test_slope_is_for_analytic_potentials_only():
+    with pytest.raises(ValueError, match="analytic"):
+        delta_grid(square_bump(), [1.0], 1.0, slope=True)
+
+
 def test_delta_derivative_zero_potential():
     assert delta_derivative(build_w([0.0, 1.0], [0.0]), 2.0, 1.0) == 0.0
 

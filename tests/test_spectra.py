@@ -47,9 +47,54 @@ def test_level_on_a_scan_node_is_bracketed_once():
         assert cells.tolist() == [0] and levels.tolist() == [half]
     assert spectra._delta_brackets(np.array([0.0, 5.0])) is None  # crosses pi/2 and 3pi/2
     # the refiner returns an end whose residual is exactly 0, without calling f
-    root = spectra._refine(None, np.array([0.0]), np.array([1.0]),
-                           np.array([-half]), np.array([0.0]), 1e-12)
-    assert root.tolist() == [1.0]
+    root, resid = spectra._refine(None, np.array([0.0]), np.array([1.0]),
+                                  np.array([-half]), np.array([0.0]), 1e-12)
+    assert root.tolist() == [1.0] and resid.tolist() == [0.0]
+
+
+def test_newton_point_outside_the_bracket_falls_back():
+    # Newton on arctan overshoots from the first false-position point: the
+    # refiner must stay inside the bracket and still converge
+    r, seen = 0.3, []
+
+    def f(idx, x):
+        seen.extend(x.tolist())
+        return np.arctan(10.0 * (x - r)), 10.0 / (1.0 + (10.0 * (x - r)) ** 2)
+
+    lo, hi = np.array([r - 2.0]), np.array([r + 3.0])
+    root, resid = spectra._refine(f, lo, hi, np.arctan(10.0 * (lo - r)),
+                                  np.arctan(10.0 * (hi - r)), 1e-12, 1e-8)
+    x1, f1 = seen[0], math.atan(10.0 * (seen[0] - r))
+    assert x1 - f1 * (1.0 + (10.0 * (x1 - r)) ** 2) / 10.0 < lo[0]  # Newton leaves
+    # the next point is false position on [lo, x1] instead
+    flo = math.atan(10.0 * (lo[0] - r))
+    assert abs(seen[1] - (x1 - f1 * (x1 - lo[0]) / (f1 - flo))) < 1e-12
+    assert all(lo[0] < x < hi[0] for x in seen)
+    assert abs(root[0] - r) < 1e-12 and resid[0] <= 1e-12
+
+
+def test_refinement_stops_on_the_noise_floor():
+    # a residual with noise of 1e-10 keeps every Newton step above xtol; the
+    # bracket closes once the steps stop halving, at the size of the last step
+    steps = []
+
+    def f(idx, x):
+        fx = x - 0.3 + 1e-10 * (-1) ** len(steps)
+        steps.append(fx[0])
+        return fx, np.ones(x.size)
+
+    root, resid = spectra._refine(f, np.array([0.0]), np.array([1.0]), np.array([-0.3]),
+                                  np.array([0.7]), 1e-12, 1e-8)
+    assert len(steps) == 2
+    assert resid[0] == abs(steps[-1]) and 1e-12 < resid[0] <= 1e-8
+    assert abs(root[0] - 0.3) < 3e-10
+
+
+def test_exact_zero_at_an_end_skips_the_slope_evaluation():
+    root, resid = spectra._refine(None, np.array([0.0, 2.0]), np.array([1.0, 3.0]),
+                                  np.array([-1.0, 0.0]), np.array([0.0, 1.0]), 1e-12, 1e-8,
+                                  guess=np.array([0.5, 2.5]))
+    assert root.tolist() == [1.0, 2.0] and resid.tolist() == [0.0, 0.0]
 
 
 def test_root_on_a_scan_node_is_found(monkeypatch):
@@ -200,6 +245,17 @@ def test_spectrum_k_validation():
         complex_spectrum(square_bump(), -1.0, (0.0, 1.0, 0.0, 1.0))
 
 
+@pytest.mark.parametrize("k", [math.inf, -math.inf, math.nan])
+def test_nonfinite_k_rejected(k):
+    V, rect = square_bump(), (0.0, 1.0, 0.0, 1.0)
+    for call in (lambda: real_spectrum(V, k, 5.0), lambda: real_spectrum(hrp_potential(), k, 5.0),
+                 lambda: complex_spectrum(V, k, rect), lambda: phase_grid(V, k, rect, 8, 8),
+                 lambda: prufer.delta_grid(V, [1.0], k),
+                 lambda: prufer.delta_derivative(hrp_potential(), 1.0, k)):
+        with pytest.raises(ValueError, match="k must be finite"):
+            call()
+
+
 def test_json_lines_round_trip():
     sp = real_spectrum(square_bump(), 1.0, 10.0, tol=1e-10)
     lines = sp.to_json_lines().strip().splitlines()
@@ -298,7 +354,8 @@ def test_phase_grid_rows_match_per_cell_evaluation(tmp_path):
 def test_sech_well_solve_budget(sech_well, monkeypatch):
     # each Delta evaluation on an analytic potential is one ODE solve holding
     # both branches, and each scan attempt is one evaluation; one solve per
-    # branch and a separate coarse scan spent 16 and 24 solves here
+    # branch and a separate coarse scan spent 16 and 24 solves here, and
+    # Illinois refinement with a central-difference certificate 7 and 7
     solves, grids = [], []
     solve, grid = prufer.solve_ivp, spectra.delta_grid
 
@@ -306,9 +363,9 @@ def test_sech_well_solve_budget(sech_well, monkeypatch):
         solves.append(1)
         return solve(*args, **kwargs)
 
-    def counted_grid(V, g, k):
+    def counted_grid(V, g, k, slope=False):
         grids.append(1)
-        return grid(V, g, k)
+        return grid(V, g, k, slope=slope)
 
     monkeypatch.setattr(prufer, "solve_ivp", counted_solve)
     monkeypatch.setattr(spectra, "delta_grid", counted_grid)
@@ -316,7 +373,7 @@ def test_sech_well_solve_budget(sech_well, monkeypatch):
         solves.clear()
         grids.clear()
         sp = real_spectrum(sech_well, k, 6.0, tol=1e-8)
-        assert len(solves) == len(grids) and len(solves) <= 8
+        assert len(solves) == len(grids) and len(solves) <= 4
         want = np.arange(k + 0.5, 6.0, 1.0)
         assert np.max(np.abs(np.array(sp.real_values()) - want)) < 1e-9
 
@@ -448,17 +505,17 @@ def test_residual_shrinks_at_higher_precision():
     # closed form stays below the double-precision residual certificate
     import mpmath
 
-    mpmath.mp.dps = 34
     sp = real_spectrum(square_bump(), 1.0, 15.0, tol=1e-10, method="determinant")
 
     def oracle(g):
         w = mpmath.sqrt(mpmath.mpf(g) ** 2 - 1)
         return mpmath.cos(2 * w) + mpmath.sin(2 * w) / w
 
-    for r in sp.roots:
-        g = mpmath.mpf(repr(r.value.real))
-        corr = abs(oracle(g) / mpmath.diff(oracle, g))
-        assert corr < 1e-9
+    with mpmath.workdps(34):
+        for r in sp.roots:
+            g = mpmath.mpf(repr(r.value.real))
+            corr = abs(oracle(g) / mpmath.diff(oracle, g))
+            assert corr < 1e-9
 
 
 def test_spectrum_invariant_under_translation_and_negation():
