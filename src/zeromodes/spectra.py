@@ -11,7 +11,8 @@ all brackets at once by vectorised Illinois false position, one grid
 evaluation per iteration.  On analytic potentials, where one ODE solve
 gives Delta and its slope, the refiner starts from an inverse cubic
 through the scan nodes and takes Newton steps, with false position as the
-fallback.  trigzeros reuses the same refiner.
+fallback.  trigzeros.scan_zeros reuses the same refiner for its certified
+single-zero cells.
 Complex couplings of step potentials are located by the phase winding of
 the matching determinant around rectangles, a whole level of boxes per
 kernel call through one cache per search, then by Newton batched likewise.

@@ -3,10 +3,16 @@
 This is the elementary model problem behind the one-gap counting law: the
 asymptotic zero density of f equals A(alpha, beta) / pi, with an exact
 finite-sum expression when beta is rational.  brute_count enumerates zeros
-directly (a sign scan whose crossings are refined all at once by the
-batched false-position refiner of spectra, with near-tangential dips
-refined by local minimization) and serves as the independent oracle for
-the closed-form densities.
+directly and serves as the independent oracle for the closed-form
+densities.  Without a perturbation it counts certified cells: on nodes
+grid_step apart, Taylor bounds from f, f' and f'' at the nodes and
+|f'''| <= 1 + alpha*beta^3 prove each cell empty or holding exactly one
+zero, cells that are neither are halved, and no zero is refined (the root
+exclusion and inclusion tests of interval analysis; Moore, Kearfott &
+Cloud, Introduction to Interval Analysis, SIAM 2009).  A perturbation
+carries no such bound, so phi != None takes a sampled sign scan whose
+crossings are refined by the batched false-position refiner of spectra,
+with near-tangential dips refined by local minimization.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ __all__ = [
 
 _TANGENT_ENERGY = 1e-18  # below this, f and f' count as jointly zero
 _DIP_NOISE = 1e-13       # dips shallower than this drown in evaluation noise
+_MIN_CELL = 1e-10        # a cell this narrow is not split further
 
 
 @dataclass(frozen=True)
@@ -194,21 +201,121 @@ def _max_grid_step(beta: float) -> float:
     return (min(math.pi, math.pi / beta) if beta > 0 else math.pi) / 8.0
 
 
-def scan_zeros(params: TrigParams, lo: float, hi: float, grid_step: float) -> ZeroScan:
-    """Sign-change scan with batched bracketed refinement on [lo, hi].
+def _check_scan(params: TrigParams, lo: float, ends: Sequence[float], grid_step: float) -> None:
+    """The input check of scan_zeros, brute_count and density_trace: a finite
+    lo, at least one finite end above it, and 0 < grid_step <= pi/(8 max(1, beta))."""
+    if not math.isfinite(lo):
+        raise ValueError(f"the interval must start at a finite x, got {lo}")
+    if len(ends) == 0:
+        raise ValueError(f"need at least one interval end, got {list(ends)}")
+    for end in ends:
+        if not (math.isfinite(end) and end > lo):
+            raise ValueError(f"interval end must be finite and > {lo}, got {end}")
+    top = _max_grid_step(params.beta)
+    if not (0.0 < grid_step <= top * (1.0 + 1e-12)):
+        raise ValueError(f"grid_step must be in (0, {top:.6g}], got {grid_step}")
 
-    The grid is oversampled at an eighth of the caller's step.  Cells whose
-    endpoint values agree in sign but dip near zero are refined by bounded
-    minimization and classified as 0 or 2 transversal zeros; a dip grazing
-    zero within evaluation noise raises UnresolvedCell rather than guessing.
-    Odd-order tangential zeros arrive through the sign-change path and are
-    flagged when f' vanishes there too.
+
+def _brackets(params: TrigParams, ends: Sequence[float], grid_step: float) -> tuple:
+    """Certified brackets of the zeros of f on [ends[0], ends[-1]], phi = None.
+
+    The nodes lie at most grid_step apart, and every end is a node.  f, f'
+    and f'' are evaluated at the nodes (f through f_value) and
+    |f'''| <= 1 + alpha beta^3 bounds the Taylor remainders.  A node is
+    resolved where |f| exceeds eps, a bound on the rounding of f and of
+    the derivative terms below.  A cell [a, b] of half width t is
+
+    * empty if f has one sign at both resolved ends and the concave lower
+      bound s f(a) + s f'(a) u - |f''(a)| u^2/2 - M3 u^3/6 (and its mirror
+      from b) stays above eps at u = t;
+    * single if f has opposite signs at its resolved ends and the same kind
+      of bound keeps |f'| above zero on each half;
+    * stopped if neither and both |f(a)|, |f(b)| <= eps, or if b - a is below
+      1e-10 (or four float spacings of b, where those are wider);
+    * otherwise halved, all cells of a level through one array call.
+
+    Returns (lo, hi, flo, fhi, cluster), one entry per sign change of f
+    between consecutive resolved nodes, in x order.  cluster marks the
+    brackets with stopped cells in them: each holds an odd number of zeros
+    (a zero of odd multiplicity, such as a triple zero) that double
+    precision cannot separate, counted as one.  Raises UnresolvedCell for
+    an end within rounding of a zero, and for a stopped cell with no sign
+    change within grid_step (an even-order tangency, say).  A stopped cell
+    next to a sign change is accepted: it lies in the rounding band of
+    that zero, where a further pair of zeros would be as unresolvable as
+    it is to the sampled scan.
     """
-    if hi <= lo:
-        raise ValueError("need hi > lo")
-    if grid_step > _max_grid_step(params.beta) * (1.0 + 1e-12):
-        raise ValueError(
-            f"grid_step {grid_step} too coarse; need <= {_max_grid_step(params.beta):.6g}")
+    al, be = params.alpha, params.beta
+    m3 = 1.0 + al * be ** 3
+    eps = 8.0 * np.finfo(float).eps * (1.0 + al * (1.0 + be * max(abs(ends[0]), abs(ends[-1]))))
+    eps_d = eps * (1.0 + be)  # the same rounding, differentiated once
+
+    def jet(x):
+        f = f_value(params, x)
+        return f, f_deriv(params, x), (be * be - 1.0) * np.cos(x) - be * be * f
+
+    parts = [np.linspace(a, b, int(math.ceil((b - a) / grid_step)) + 1)[:-1]
+             for a, b in zip(ends, ends[1:])]
+    xs = np.concatenate(parts + [ends[-1:]])
+    f, d, c = jet(xs)
+    at_end = np.cumsum([0] + [p.size for p in parts])
+    unresolved_end = xs[at_end][abs(f[at_end]) <= eps]
+    if unresolved_end.size:
+        raise UnresolvedCell(f"f is within rounding of zero at the interval end "
+                             f"x = {unresolved_end[0]!r}")
+
+    cells = (xs[:-1], f[:-1], d[:-1], c[:-1], xs[1:], f[1:], d[1:], c[1:])
+    new_x, new_f, stopped = [], [], []
+    while cells[0].size:
+        a, fa, da, ca, b, fb, db, cb = cells
+        t = 0.5 * float(np.max(b - a))  # no cell of this level is wider than 2t
+        tail, tail_d = eps + m3 * t ** 3 / 6.0, eps_d + m3 * t * t / 2.0
+        ua, ub = abs(fa), abs(fb)
+        known = (ua > eps) & (ub > eps)
+        same = fa * fb > 0.0
+        s = np.sign(fa)
+        empty = (known & same
+                 & (ua + t * s * da - t * t / 2.0 * abs(ca) > tail)
+                 & (ub - t * s * db - t * t / 2.0 * abs(cb) > tail))
+        single = (known & ~same & (da * db > 0.0)
+                  & (abs(da) - t * abs(ca) > tail_d) & (abs(db) - t * abs(cb) > tail_d))
+        rest = np.nonzero(~(empty | single))[0]
+        a, fa, b, fb = a[rest], fa[rest], b[rest], fb[rest]
+        stop = (((abs(fa) <= eps) & (abs(fb) <= eps))
+                | (b - a < np.maximum(_MIN_CELL, 4.0 * np.spacing(abs(b)))))
+        stopped.append(a[stop])
+        split = rest[~stop]
+        xm = 0.5 * (a + b)[~stop]
+        mid = (xm,) + jet(xm)
+        new_x.append(xm)
+        new_f.append(mid[1])
+        # [a, b] becomes [a, m] and [m, b]
+        cells = (tuple(np.concatenate((v[split], m)) for v, m in zip(cells[:4], mid))
+                 + tuple(np.concatenate((m, v[split])) for v, m in zip(cells[4:], mid)))
+
+    mx, mf = np.concatenate(new_x), np.concatenate(new_f)
+    if mx.size:
+        order = np.argsort(mx)
+        at = np.searchsorted(xs, mx[order])
+        xs, f = np.insert(xs, at, mx[order]), np.insert(f, at, mf[order])
+    keep = abs(f) > eps
+    xr, fr = xs[keep], f[keep]
+    change = np.nonzero((fr[:-1] > 0.0) != (fr[1:] > 0.0))[0]
+    cluster = np.zeros(xr.size - 1, dtype=bool)
+    a = np.concatenate(stopped)
+    cluster[np.searchsorted(xr, a, side="right") - 1] = True
+    # every stopped cell needs a sign change within grid_step
+    centre = np.concatenate(([-np.inf], 0.5 * (xr[change] + xr[change + 1]), [np.inf]))
+    k = np.searchsorted(centre, a)
+    near = np.minimum(a - centre[k - 1], centre[k] - a) <= grid_step
+    if not np.all(near):
+        raise UnresolvedCell(f"f touches zero near x = {a[~near][0]:.9g} "
+                             "without a resolvable sign change")
+    return xr[change], xr[change + 1], fr[change], fr[change + 1], cluster[change]
+
+
+def _sampled_scan(params: TrigParams, lo: float, hi: float, grid_step: float) -> ZeroScan:
+    """scan_zeros for phi != None: a sign scan oversampled 8x, dips by minimization."""
     h = grid_step / 8.0
     n = int(math.ceil((hi - lo) / h))
     xs = np.linspace(lo, hi, n + 1)
@@ -265,22 +372,63 @@ def scan_zeros(params: TrigParams, lo: float, hi: float, grid_step: float) -> Ze
     return ZeroScan(np.array(out), tangential)
 
 
+def scan_zeros(params: TrigParams, lo: float, hi: float, grid_step: float) -> ZeroScan:
+    """The zeros of f on [lo, hi], refined to 1e-12.
+
+    Without a perturbation the zeros come from the certified brackets of
+    _brackets, on nodes grid_step apart: the single-zero brackets are
+    refined all at once by the batched false-position refiner of spectra,
+    and each stopped cluster (a zero of odd multiplicity) is one zero at
+    its bracket midpoint, listed as tangential.  UnresolvedCell is raised
+    where a zero cannot be told from rounding (see _brackets).
+
+    A perturbation phi comes with no bound on its third derivative, so
+    phi != None is the one input the sampled scan still serves.  It
+    oversamples the grid 8x and refines its sign changes the same way;
+    cells whose ends agree in sign but dip near zero are minimized and
+    classified as 0 or 2 zeros, and a dip grazing zero within evaluation
+    noise raises UnresolvedCell.  Its tangential zeros are the refined
+    ones where f and f' vanish together.
+    """
+    _check_scan(params, lo, [hi], grid_step)
+    if params.phi is not None:
+        return _sampled_scan(params, lo, hi, grid_step)
+    a, b, fa, fb, cluster = _brackets(params, [lo, hi], grid_step)
+    roots = 0.5 * (a + b)
+    single = ~cluster
+    roots[single] = _refine(lambda idx, x: f_value(params, x), a[single], b[single],
+                            fa[single], fb[single], 1e-12)[0]
+    return ZeroScan(roots, tuple(roots[cluster].tolist()))
+
+
 def brute_count(params: TrigParams, R: float, grid_step: float) -> int:
-    """Number of zeros of f on [0, R]."""
-    if R <= 0:
-        raise ValueError("R must be positive")
-    return scan_zeros(params, 0.0, R, grid_step).count()
+    """Number of zeros of f on [0, R].
+
+    Without a perturbation this is the number of certified brackets of
+    _brackets (no zero is refined); with one, the count of the sampled
+    scan of scan_zeros.
+    """
+    _check_scan(params, 0.0, [R], grid_step)
+    if params.phi is not None:
+        return _sampled_scan(params, 0.0, R, grid_step).count()
+    return int(_brackets(params, [0.0, R], grid_step)[0].size)
 
 
 def density_trace(params: TrigParams, R_values: Sequence[float], grid_step: float):
-    """Rows (R, count, count/R) for a shared scan up to max(R_values)."""
+    """Rows (R, count, count/R), sorted by R, from one count up to max(R_values).
+
+    Without a perturbation every R is a node of the certified brackets, so
+    each row equals brute_count at its R; with one, the rows count the
+    zeros of one sampled scan of scan_zeros up to max(R_values).
+    """
     Rs = sorted(float(R) for R in R_values)
-    scan = scan_zeros(params, 0.0, Rs[-1], grid_step)
-    out = []
-    for R in Rs:
-        c = int(np.searchsorted(scan.roots, R, side="right"))
-        out.append((R, c, c / R))
-    return out
+    _check_scan(params, 0.0, Rs, grid_step)
+    if params.phi is None:
+        upper = _brackets(params, np.unique([0.0] + Rs), grid_step)[1]
+    else:
+        upper = _sampled_scan(params, 0.0, Rs[-1], grid_step).roots
+    counts = np.searchsorted(upper, Rs, side="right")
+    return [(R, int(c), int(c) / R) for R, c in zip(Rs, counts)]
 
 
 def density_trace_csv(params: TrigParams, R_values: Sequence[float], grid_step: float,

@@ -2,6 +2,7 @@
 removal in the package would only surface there."""
 
 import importlib.util
+import math
 from pathlib import Path
 
 
@@ -23,3 +24,16 @@ def test_every_traced_attribute_resolves():
         assert all(getattr(mod, attr) is not orig
                    for (mod, attr, _, _), orig in zip(tracing.TARGETS, before))
     assert [getattr(mod, attr) for mod, attr, _, _ in tracing.TARGETS] == before
+
+
+def test_brute_count_work_is_its_nodes():
+    from zeromodes import trigzeros
+
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    R, step = 100.0, math.pi / 12  # no cell of this count is halved
+    with tracer.patched():
+        trigzeros.brute_count(trigzeros.TrigParams(0.5, 1.5), R, step)
+    spans = tracer.arrays()
+    work = int(spans["work"][spans["name"] == tracer.names.index("trigzeros.f_value")].sum())
+    assert work == math.ceil(R / step) + 1 > 0

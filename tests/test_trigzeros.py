@@ -1,7 +1,9 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from zeromodes.asymptotics import a_density
 from zeromodes.errors import DegenerateEndpoint, NotCoprime, OutOfDomain, UnresolvedCell
@@ -171,3 +173,77 @@ def test_unresolved_grazing_is_surfaced():
     p = TrigParams(0.5, 3.0, phi)
     with pytest.raises(UnresolvedCell):
         scan_zeros(p, 20.0, 40.0, math.pi / 24)
+
+
+# a zero perturbation sends scan_zeros down the sampled path that phi != None takes
+NO_PHI = Perturbation(value=np.zeros_like, deriv=np.zeros_like)
+P = TrigParams(0.9, 3.0)
+STEP = math.pi / 24
+
+
+@pytest.mark.parametrize("call, value", [
+    (lambda: density_trace(P, [], STEP), "[]"),
+    (lambda: density_trace(P, [10.0, 0.0], STEP), "0.0"),
+    (lambda: density_trace(P, [-5.0], STEP), "-5.0"),
+    (lambda: brute_count(P, math.inf, STEP), "inf"),
+    (lambda: brute_count(P, math.nan, STEP), "nan"),
+    (lambda: brute_count(P, 10.0, 0.0), "0.0"),
+    (lambda: brute_count(P, 10.0, -1.0), "-1.0"),
+    (lambda: brute_count(P, 10.0, math.nan), "nan"),
+    (lambda: scan_zeros(P, 5.0, 5.0, STEP), "5.0"),
+    (lambda: scan_zeros(P, -math.inf, 5.0, STEP), "-inf"),
+], ids=["no-R", "zero-R", "negative-R", "infinite-R", "nan-R", "zero-step", "negative-step",
+        "nan-step", "empty-interval", "infinite-lo"])
+def test_bad_scan_input_is_named(call, value):
+    with pytest.raises(ValueError, match="got " + re.escape(value)):
+        call()
+
+
+def test_certified_count_at_bench_input():
+    assert brute_count(TrigParams(math.tanh(1.0), 3.0), 3e4, math.pi / 24) == 28648
+
+
+def test_certified_count_of_triple_zeros():
+    assert brute_count(TrigParams(1.0 / 3.0, 3.0), 100 * math.pi, math.pi / 24) == 100
+    # every triple zero is a stopped cluster, so each is flagged
+    scan = scan_zeros(TrigParams(1.0 / 3.0, 3.0), 0.0, 100 * math.pi, math.pi / 24)
+    assert len(scan.tangential) == 100
+
+
+def test_certified_count_refuses_even_tangency():
+    # nu(0.8, 5) == 3: f touches zero without crossing
+    with pytest.raises(UnresolvedCell):
+        brute_count(TrigParams(0.8, 5.0), 200.0, math.pi / 40)
+
+
+def test_certified_scan_matches_sampled_roots():
+    p = TrigParams(0.9, 3.0)
+    certified = scan_zeros(p, 0.0, 300.0, STEP)
+    sampled = scan_zeros(TrigParams(0.9, 3.0, NO_PHI), 0.0, 300.0, STEP)
+    assert certified.count() == sampled.count()
+    assert np.max(np.abs(certified.roots - sampled.roots)) < 1e-11
+    assert certified.tangential == ()
+
+
+def test_zero_at_an_interval_end_is_refused():
+    # cos(fl(pi/2)) = 6e-17 lies within rounding of zero
+    with pytest.raises(UnresolvedCell):
+        brute_count(TrigParams(0.0, 0.0), math.pi / 2, math.pi / 8)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 4.0), st.floats(1.0, 200.0))
+def test_certified_count_matches_sampled_scan(alpha, beta, R):
+    step = min(math.pi, math.pi / beta) / 8.0 if beta > 0 else math.pi / 8.0
+    try:
+        want = scan_zeros(TrigParams(alpha, beta, NO_PHI), 0.0, R, step).count()
+    except UnresolvedCell:
+        reject()
+    assert brute_count(TrigParams(alpha, beta), R, step) == want
+
+
+def test_density_trace_rows_equal_brute_count():
+    Rs = [37.3, 101.01, 250.7]  # not multiples of the step
+    rows = density_trace(P, Rs, STEP)
+    assert [r[0] for r in rows] == Rs
+    assert [r[1] for r in rows] == [brute_count(P, R, STEP) for R in Rs]
