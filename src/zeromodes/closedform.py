@@ -11,7 +11,8 @@ whose entries are even in w, hence entire in g: no branch choice is needed
 and the limits g*v -> +-k are removable.  A matching determinant built from
 these propagators vanishes exactly at the couplings admitting a confined
 zero mode.  determinant evaluates it for a whole array of couplings in one
-sweep over the pieces; a scalar coupling is an array of size 1.
+sweep over the pieces; a scalar coupling is an array of size 1.  On a gap
+(v = 0) w^2 = -k^2 for every coupling, so one scalar propagator serves all.
 """
 
 from __future__ import annotations
@@ -93,9 +94,13 @@ def determinant(V: PiecewiseConstantPotential, gammas, k: float) -> np.ndarray |
     a = W.breakpoints
     with np.errstate(over="raise", invalid="raise"):
         for j, v in enumerate(W.values):
-            gv = g * v
-            c, s = cos_sinc(gv * gv - k * k, a[j + 1] - a[j])
-            p1, p2 = c * p1 + s * (k - gv) * p2, s * (k + gv) * p1 + c * p2
+            if v == 0.0:  # a gap: the same propagator at every coupling
+                (c,), (s,) = cos_sinc(-k * k, a[j + 1] - a[j])
+                p1, p2 = c * p1 + s * k * p2, s * k * p1 + c * p2
+            else:
+                gv = g * v
+                c, s = cos_sinc(gv * gv - k * k, a[j + 1] - a[j])
+                p1, p2 = c * p1 + s * (k - gv) * p2, s * (k + gv) * p1 + c * p2
             scale = np.maximum(abs(p1), abs(p2))
             if (scale > 1e200).any():  # harmless positive rescale, zero set unchanged
                 scale = np.where(scale > 1e200, scale, 1.0)

@@ -15,7 +15,7 @@ fallback.  trigzeros.scan_zeros reuses the same refiner for its certified
 single-zero cells.
 Complex couplings of step potentials are located by the phase winding of
 the matching determinant around rectangles, a whole level of boxes per
-kernel call through one cache per search, then by Newton batched likewise.
+kernel call with no cache between calls, then by Newton batched likewise.
 """
 
 from __future__ import annotations
@@ -343,76 +343,83 @@ def counting_function(spectrum: GammaSpectrum, R: float) -> int:
 # --- complex search by phase winding ------------------------------------------
 
 
-class _ArgTracker:
-    """Continuous-argument accumulator for D around rectangles, with one
-    evaluation cache for a whole search.
+def _contours(rects: np.ndarray, h0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Contour nodes of every rect (rows x0, x1, y0, y1), concatenated, and
+    the row each belongs to.  Each contour runs counter-clockwise from
+    (x0, y0) and closes there; each edge is split into n = max(1,
+    ceil(length/h0)) pieces from its lower-left end, ends pinned, so boxes
+    sharing an edge share its nodes.  Coordinates are lo + (hi - lo)*(i/n),
+    bit for bit what complex arithmetic gives on an axis-aligned edge.  A
+    rect is five runs: its four edges from their first corner, without the
+    last, and the closing corner."""
+    x0, x1, y0, y1 = rects.T
+    nx = np.maximum(1, np.ceil((x1 - x0) / h0)).astype(int)
+    ny = np.maximum(1, np.ceil((y1 - y0) / h0)).astype(int)
+    n = np.stack([nx, ny, nx, ny, np.ones_like(nx)], 1).ravel()
+    run = np.repeat(np.arange(n.size), n)
+    j = np.arange(run.size) - np.repeat(np.cumsum(n) - n, n)  # index within the run
+    t = np.where(np.isin(run % 5, (2, 3)), n[run] - j, j) / n[run]  # top and left run back
+    z, zero = np.empty(run.size, dtype=complex), np.zeros_like(x0)
+    # each run's lower-left end, extent and first corner, per coordinate
+    for part, lo, span, first in (
+            (z.real, (x0, x1, x0, x0, x0), (x1 - x0, zero, x1 - x0, zero, zero), (x0, x1, x1, x0, x0)),
+            (z.imag, (y0, y0, y1, y0, y0), (zero, y1 - y0, zero, y1 - y0, zero), (y0, y0, y1, y1, y0))):
+        part[:] = np.stack(lo, 1).ravel()[run] + np.stack(span, 1).ravel()[run] * t
+        part[j == 0] = np.stack(first, 1).ravel()
+    return z, run // 5
 
-    A principal-value argument step is only trustworthy on segments short
+
+def _windings(fun: Callable[[np.ndarray], np.ndarray], rects: list,
+              h0: float) -> tuple[list[int], list[Exception | None], tuple[float, float]]:
+    """Winding of D around each rect, the error of each rect whose contour
+    fails (None where it succeeds), and the least and largest |D| met.
+
+    fun maps an array of couplings to an array of D values.  A
+    principal-value argument step is only trustworthy on segments short
     enough that the true phase cannot alias by a full turn, so segments are
     halved until the step is below pi/2 *and* the magnitude ratio stays
-    moderate; edges are additionally pre-split at the phase scale set by
-    the potential.  fun maps an array of couplings to an array of D values;
-    the points not yet in the cache go to it in one call.
-    """
+    moderate; edges are pre-split at the phase scale h0 set by the
+    potential.  All nodes go to fun in one call; the failing segments of
+    every rect are then halved together, one call per round, and the
+    argument steps are summed by owner index.  A call evaluates each of its
+    distinct points once, and nothing is kept between calls: evaluating a
+    point again costs less than looking it up."""
+    met = []  # |D| at the points evaluated
 
-    def __init__(self, fun: Callable[[np.ndarray], np.ndarray]):
-        self.fun = fun
-        self.cache: dict[complex, complex] = {}
+    def evaluate(zs):
+        u, inv = np.unique(zs, return_inverse=True)
+        d = fun(u)
+        met.append(abs(d))
+        return d[inv]
 
-    def __call__(self, zs: np.ndarray) -> np.ndarray:
-        keys = zs.tolist()
-        new = list(dict.fromkeys(z for z in keys if z not in self.cache))
-        if new:
-            self.cache.update(zip(new, self.fun(np.array(new)).tolist()))
-        return np.array([self.cache[z] for z in keys])
-
-    def windings(self, rects: list, h0: float) -> tuple[list[int], list[Exception | None]]:
-        """Winding of D around each rect, and the error of each rect whose
-        contour fails (None where it succeeds).  Each edge is pre-split at
-        phase scale h0 from its lower-left end, so boxes sharing an edge
-        share its nodes.  All nodes go to the cache in one call; the failing
-        segments of every rect are then halved together, one call per round,
-        and the argument steps are summed by owner index."""
-        paths = []
-        for x0, x1, y0, y1 in rects:
-            corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
-            nodes = []
-            for p, q in zip(corners, corners[1:] + corners[:1]):
-                lo, hi = sorted((p, q), key=lambda z: (z.real, z.imag))
-                n = max(1, math.ceil(abs(q - p) / h0))
-                edge = lo + (hi - lo) * (np.arange(n + 1) / n)
-                edge[0], edge[-1] = lo, hi
-                nodes.append(edge[:-1] if lo == p else edge[:0:-1])  # from p, without q
-            nodes.append(corners[:1])
-            paths.append(np.concatenate(nodes))
-        owner = np.repeat(np.arange(len(rects)), [p.size for p in paths])
-        zs = np.concatenate(paths)
-        vals = self(zs)
-        bad, total = np.zeros(len(rects), dtype=bool), np.zeros(len(rects))
-        bad[owner[vals == 0]] = True
-        seg = owner[1:] == owner[:-1]  # no segment joins two contours
-        a, b, va, vb, own = (t[seg] for t in (zs[:-1], zs[1:], vals[:-1], vals[1:], owner[1:]))
-        for _ in range(50):
-            a, b, va, vb, own = (t[~bad[own]] for t in (a, b, va, vb, own))
-            r = vb / va
-            dphi = np.arctan2(r.imag, r.real)
-            ok = (abs(dphi) < math.pi / 2) & (abs(r) > 0.2) & (abs(r) < 5.0)
-            total += np.bincount(own[ok], dphi[ok], len(rects))
-            if ok.all():
-                break
-            a, b, va, vb, own = (t[~ok] for t in (a, b, va, vb, own))
-            m = 0.5 * (a + b)
-            vm = self(m)
-            bad[own[vm == 0]] = True
-            a, b, own = np.concatenate([a, m]), np.concatenate([m, b]), np.concatenate([own, own])
-            va, vb = np.concatenate([va, vm]), np.concatenate([vm, vb])
-        else:
-            bad[own] = True
-        w = total / math.tau
-        errors = [BoundaryRoot(f"D vanishes or its argument is lost on {rect}") if bad[i] else
-                  WindingMismatch(f"non-integer winding {w[i]:.3f} on {rect}")
-                  if abs(w[i] - round(w[i])) > 0.25 else None for i, rect in enumerate(rects)]
-        return np.rint(w).astype(int).tolist(), errors
+    zs, owner = _contours(np.array(rects, dtype=float), h0)
+    vals = evaluate(zs)
+    bad, total = np.zeros(len(rects), dtype=bool), np.zeros(len(rects))
+    bad[owner[vals == 0]] = True
+    seg = owner[1:] == owner[:-1]  # no segment joins two contours
+    a, b, va, vb, own = (t[seg] for t in (zs[:-1], zs[1:], vals[:-1], vals[1:], owner[1:]))
+    for _ in range(50):
+        a, b, va, vb, own = (t[~bad[own]] for t in (a, b, va, vb, own))
+        r = vb / va
+        dphi = np.arctan2(r.imag, r.real)
+        ok = (abs(dphi) < math.pi / 2) & (abs(r) > 0.2) & (abs(r) < 5.0)
+        total += np.bincount(own[ok], dphi[ok], len(rects))
+        if ok.all():
+            break
+        a, b, va, vb, own = (t[~ok] for t in (a, b, va, vb, own))
+        m = 0.5 * (a + b)
+        vm = evaluate(m)
+        bad[own[vm == 0]] = True
+        a, b, own = np.concatenate([a, m]), np.concatenate([m, b]), np.concatenate([own, own])
+        va, vb = np.concatenate([va, vm]), np.concatenate([vm, vb])
+    else:
+        bad[own] = True
+    w = total / math.tau
+    errors = [BoundaryRoot(f"D vanishes or its argument is lost on {rect}") if bad[i] else
+              WindingMismatch(f"non-integer winding {w[i]:.3f} on {rect}")
+              if abs(w[i] - round(w[i])) > 0.25 else None for i, rect in enumerate(rects)]
+    met = np.concatenate(met)
+    return np.rint(w).astype(int).tolist(), errors, (met.min(), met.max())
 
 
 def _newton_polish(fun, z, tol: float,
@@ -447,7 +454,7 @@ def _newton_polish(fun, z, tol: float,
     return np.array(zs), np.array(resid)
 
 
-def _subdivide(tracker: _ArgTracker, rect, tol: float, h0: float):
+def _subdivide(fun: Callable[[np.ndarray], np.ndarray], rect, tol: float, h0: float):
     """(roots inside rect as (z, residual, multiplicity), winding of rect),
     searched one level of boxes at a time.
 
@@ -484,15 +491,13 @@ def _subdivide(tracker: _ArgTracker, rect, tol: float, h0: float):
     frontier, found, top = [(rect, 0, None)], [], None
     while frontier:
         nxt = []
-        winds, errors = tracker.windings([box[0] for box in frontier], h0)
+        winds, errors, (lo, hi) = _windings(fun, [box[0] for box in frontier], h0)
         for box, err in zip(frontier, errors):
             if err is not None:
                 fail(box, err)
         if top is None:
             top = winds[0]
-            # the cache holds the top contour's values only
-            mags = abs(np.array(list(tracker.cache.values())))
-            if mags.min() < 1e-12 * mags.max():
+            if lo < 1e-12 * hi:  # on the top contour
                 raise BoundaryRoot("determinant nearly vanishes on the boundary")
         polish = []
         for box, w, err in zip(frontier, winds, errors):
@@ -504,7 +509,7 @@ def _subdivide(tracker: _ArgTracker, rect, tol: float, h0: float):
                 polish.append((box, w, diam, complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))))
             else:
                 split(box, 0)
-        zs, resids = _newton_polish(tracker.fun, np.array([p[3] for p in polish]), tol, rect)
+        zs, resids = _newton_polish(fun, np.array([p[3] for p in polish]), tol, rect)
         for (box, w, diam, zc), z, resid in zip(polish, zs.tolist(), resids.tolist()):
             x0, x1, y0, y1 = box[0]
             # a box that winds once holds exactly one root: Newton must land
@@ -527,10 +532,10 @@ def complex_spectrum(V: PiecewiseConstantPotential, k: float,
     """Couplings inside a complex rectangle (re_min, re_max, im_min, im_max).
 
     The boundary winding number of the matching determinant is tracked with
-    adaptive argument subdivision through one evaluation cache, one level of
-    boxes at a time.  Boxes that wind once are polished together with
-    Newton from their centres, and quadrisected if Newton leaves them;
-    other winding boxes are quadrisected down to small diameter first.  The
+    adaptive argument subdivision, one level of boxes per kernel call.
+    Boxes that wind once are polished together with Newton from their
+    centres, and quadrisected if Newton leaves them; other winding boxes
+    are quadrisected down to small diameter first.  The
     number of roots returned (with multiplicity) always equals the top-level
     winding; any mismatch raises instead of silently dropping a root.  A
     root too close to the boundary triggers an automatic 1e-6 outward nudge.
@@ -546,7 +551,7 @@ def complex_spectrum(V: PiecewiseConstantPotential, k: float,
     for attempt in range(4):
         rect = (x0 - nudge, x1 + nudge, y0 - nudge, y1 + nudge)
         try:
-            found, top = _subdivide(_ArgTracker(fun), rect, tol, h0)
+            found, top = _subdivide(fun, rect, tol, h0)
         except BoundaryRoot:
             nudge = 1e-6 * (attempt + 1)
             continue
@@ -626,7 +631,10 @@ def phase_grid(V: PiecewiseConstantPotential, k: float,
         raise ValueError("nx and ny must be >= 2")
     grid = PhaseGrid(_check_rectangle(rectangle), nx, ny, np.empty((ny, nx)))
     xs, ys = grid.cell_centers()
-    for j, y in enumerate(ys):  # one call per row keeps the peak memory flat
-        d = determinant(V, xs + 1j * y, k)
-        grid.arg_values[j] = np.arctan2(d.imag, d.real)
+    # blocks of whole rows keep the peak memory flat; from 16384 points NumPy
+    # elides temporaries and moves last bits, so a block has at most 8192
+    rows = max(1, 8192 // nx)
+    for j in range(0, ny, rows):
+        d = determinant(V, (xs + 1j * ys[j:j + rows, None]).ravel(), k)
+        grid.arg_values[j:j + rows] = np.arctan2(d.imag, d.real).reshape(-1, nx)
     return grid

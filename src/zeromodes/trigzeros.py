@@ -53,13 +53,11 @@ _MIN_CELL = 1e-10        # a cell this narrow is not split further
 class Perturbation:
     """Decaying perturbation with analytic first derivative.
 
-    Callables must accept floats and numpy arrays.  The second derivative
-    is optional and only consulted by tangency diagnostics.
+    Callables must accept floats and numpy arrays.
     """
 
     value: Callable
     deriv: Callable
-    second_deriv: Optional[Callable] = None
 
 
 @dataclass(frozen=True)

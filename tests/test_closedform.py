@@ -7,12 +7,13 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from zeromodes.closedform import (
+    cos_sinc,
     determinant,
     gap_angle_relation_check,
     piece_transfer,
 )
 from zeromodes.errors import TrivialPotential
-from zeromodes.potential import build_w
+from zeromodes.potential import build_w, canonicalize
 from conftest import antisymmetric_pair, square_bump
 
 
@@ -89,8 +90,6 @@ def test_transfer_apply():
 
 def test_series_seam_is_continuous():
     # the series/direct switchover at |w L| ~ 1e-4 must not introduce jumps
-    from zeromodes.closedform import cos_sinc
-
     for L in (0.5, 1.0, 2.0):
         seam = (1e-4 / L) ** 2
         for w2 in (seam, -seam):
@@ -161,6 +160,44 @@ def test_rescale_keeps_the_phase_and_leaves_other_couplings_alone():
         else:
             assert abs(d - ref) <= 1e-12 * size
     assert sum(transfer_product(V, complex(z), 1.0)[1] > 1e200 for z in zs) == 2
+
+
+def generic_sweep(V, gammas, k):
+    """D by the propagator of every piece at every coupling, gaps included:
+    the sweep that determinant runs on its nonzero pieces."""
+    W = canonicalize(V)
+    g = np.asarray(gammas, dtype=complex)
+    p1 = p2 = np.ones(g.shape, dtype=complex)
+    a = W.breakpoints
+    with np.errstate(over="raise", invalid="raise"):
+        for j, v in enumerate(W.values):
+            gv = g * v
+            c, s = cos_sinc(gv * gv - k * k, a[j + 1] - a[j])
+            p1, p2 = c * p1 + s * (k - gv) * p2, s * (k + gv) * p1 + c * p2
+            scale = np.maximum(abs(p1), abs(p2))
+            if (scale > 1e200).any():
+                scale = np.where(scale > 1e200, scale, 1.0)
+                p1, p2 = p1 / scale, p2 / scale
+    return p1 + p2
+
+
+@pytest.mark.parametrize("V", [
+    antisymmetric_pair(1.0),  # one gap
+    build_w([-3.0, -2.0, -1.0, 1.0, 2.0, 3.0], [-1.0, 0.0, 1.0, 0.0, -1.0]),  # two gaps
+    build_w([-2.0, -1.0, -1.0 + 1e-9, 0.0, 0.5, 40.0, 41.0],  # a gap in the series range
+            [0.5, 0.0, -2.0, 0.0, 1.5, 0.0]),  # and a long one
+    build_w([-1.0, 0.0, 1.0, 2.5], [0.0, 1.0, -1.0]),  # a zero piece at an end
+    build_w([-2.0, -0.5, 0.0, 1.2, 3.0], [2.0, -1.5, 0.0, 0.7]),
+])
+def test_gap_pieces_match_the_generic_sweep(V):
+    # a gap piece propagates every coupling by one scalar matrix; the values
+    # are the generic sweep's bit for bit, signed zeros included
+    rng = np.random.RandomState(5)
+    re = np.concatenate([rng.uniform(-60.0, 60.0, 400), [0.0, -0.0, 1.0, -1.0, 7.5]])
+    for k in (1.0, 0.4, 2.3):
+        for zs in (re + 1j * rng.uniform(-4.0, 4.0, re.size), re + 0j, (re + 0j).conj()):
+            got, want = determinant(V, zs, k), generic_sweep(V, zs, k)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_determinant_matches_printed_zero_set():

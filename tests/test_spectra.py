@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from zeromodes import prufer, spectra
@@ -351,6 +352,27 @@ def test_phase_grid_rows_match_per_cell_evaluation(tmp_path):
     assert (tmp_path / "g.csv").read_text() == per_cell_csv(grid)
 
 
+def test_phase_grid_blocks_match_one_call_per_row(monkeypatch):
+    # 9 600 cells go to the kernel in blocks of whole rows, at most 8 192
+    # points a call; every value is the one-call-per-row value bit for bit
+    sizes = []
+    kernel = spectra.determinant
+
+    def counted(V, g, k):
+        sizes.append(np.size(g))
+        return kernel(V, g, k)
+
+    monkeypatch.setattr(spectra, "determinant", counted)
+    for V in (antisymmetric_pair(1.0), twin_gap(1.0)):
+        sizes.clear()
+        grid = phase_grid(V, 1.0, (-20.0, 200.0, -4.0, 4.0), 480, 20)
+        assert sizes == [8160, 1440]
+        xs, ys = grid.cell_centers()
+        rows = [kernel(V, xs + 1j * y, 1.0) for y in ys]
+        want = np.array([np.arctan2(d.imag, d.real) for d in rows])
+        assert np.array_equal(grid.arg_values.view(np.uint64), want.view(np.uint64))
+
+
 def test_sech_well_solve_budget(sech_well, monkeypatch):
     # each Delta evaluation on an analytic potential is one ODE solve holding
     # both branches, and each scan attempt is one evaluation; one solve per
@@ -540,14 +562,14 @@ def _poisoned_determinant(roots, lines):
 
 
 def test_failed_retries_move_up_to_the_parent_quadrisection(monkeypatch):
-    windings = spectra._ArgTracker.windings
+    windings = spectra._windings
     seen = []
 
-    def spy(self, rects, h0):
+    def spy(fun, rects, h0):
         seen.extend(rects)
-        return windings(self, rects, h0)
+        return windings(fun, rects, h0)
 
-    monkeypatch.setattr(spectra._ArgTracker, "windings", spy)
+    monkeypatch.setattr(spectra, "_windings", spy)
     # all three split lines of the unit square fail: the search gives up
     monkeypatch.setattr(spectra, "determinant",
                         _poisoned_determinant([0.3 + 0.3j, 0.7 + 0.6j], [0.5, 0.513, 0.471]))
@@ -563,6 +585,81 @@ def test_failed_retries_move_up_to_the_parent_quadrisection(monkeypatch):
     assert (0.0, 0.513, 0.0, 0.513) in seen
     assert len(sp.roots) == 2
     assert max(abs(a - b) for a, b in zip(sp.values(), roots)) < 1e-12
+
+
+def per_box_contours(rects, h0):
+    """Contour nodes and owners built box by box and edge by edge, as the
+    reference for the level-wide builder."""
+    paths = []
+    for x0, x1, y0, y1 in rects:
+        corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
+        nodes = []
+        for p, q in zip(corners, corners[1:] + corners[:1]):
+            lo, hi = sorted((p, q), key=lambda z: (z.real, z.imag))
+            n = max(1, math.ceil(abs(q - p) / h0))
+            edge = lo + (hi - lo) * (np.arange(n + 1) / n)
+            edge[0], edge[-1] = lo, hi
+            nodes.append(edge[:-1] if lo == p else edge[:0:-1])  # from p, without q
+        nodes.append(corners[:1])
+        paths.append(np.concatenate(nodes))
+    return np.concatenate(paths), np.repeat(np.arange(len(rects)), [p.size for p in paths])
+
+
+@st.composite
+def box_levels(draw):
+    """A box, its quadrisection at one of the search's split fractions and
+    a neighbour on its right, in drawn order: boxes that share edges, some
+    very thin."""
+    size = st.one_of(st.floats(1e-12, 1e-6), st.floats(1e-3, 40.0))
+    start = st.sampled_from([-0.0, -1.0])
+    x0, y0 = draw(start | st.floats(-200.0, 200.0)), draw(start | st.floats(-5.0, 5.0))
+    x1, y1 = x0 + draw(size), y0 + draw(size)
+    assume(x1 > x0 and y1 > y0)
+    frac = draw(st.sampled_from([0.5, 0.513, 0.471]))
+    xm, ym = x0 + frac * (x1 - x0), y0 + frac * (y1 - y0)
+    assume(x0 < xm < x1 and y0 < ym < y1)
+    boxes = [(x0, x1, y0, y1), (x1, x1 + (x1 - x0), y0, y1)]
+    boxes += [(a, b, c, d) for c, d in ((y0, ym), (ym, y1)) for a, b in ((x0, xm), (xm, x1))]
+    return draw(st.permutations(boxes))[:draw(st.integers(1, len(boxes)))]
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(box_levels(), st.one_of(st.floats(1e-2, 1.0), st.floats(1.0, 100.0)))
+@example([(-1.0, 3e-17, -0.0, 0.1)], 0.3)  # x0 + (x1 - x0) is not x1: ends are pinned
+def test_level_contours_match_per_box_nodes(rects, h0):
+    # h0 lies both above and below the edge lengths
+    got, owner = spectra._contours(np.array(rects), h0)
+    want, want_owner = per_box_contours(rects, h0)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(owner, want_owner)
+
+
+def test_top_contour_near_a_root_is_nudged(monkeypatch):
+    # |D| dips to 1e-14 of its size at the corner (0, 0) of the top contour
+    # without vanishing there or losing its phase: the contour winds, yet
+    # the search gives up on it and nudges the rectangle outward by 1e-6
+    roots = [0.3 + 0.4j, 0.6 + 0.7j]
+
+    def D(V, g, k):
+        g = np.asarray(g, dtype=complex)
+        return np.prod([g - c for c in roots], axis=0) * (np.minimum(abs(g / 1e-3) ** 2, 1.0) + 1e-14)
+
+    h0 = min(1.0, spectra._scan_step(square_bump(), 1.0))
+    winds, errors, (lo, hi) = spectra._windings(lambda z: D(None, z, 1.0), [(0.0, 1.0, 0.0, 1.0)], h0)
+    assert winds == [2] and errors == [None] and lo < 1e-12 * hi
+
+    tops = []
+    subdivide = spectra._subdivide
+
+    def spy(fun, rect, tol, h0):
+        tops.append(rect)
+        return subdivide(fun, rect, tol, h0)
+
+    monkeypatch.setattr(spectra, "determinant", D)
+    monkeypatch.setattr(spectra, "_subdivide", spy)
+    sp = complex_spectrum(square_bump(), 1.0, (0.0, 1.0, 0.0, 1.0))
+    assert tops == [(0.0, 1.0, 0.0, 1.0), (-1e-6, 1.0 + 1e-6, -1e-6, 1.0 + 1e-6)]
+    assert max(abs(a - b) for a, b in zip(sp.values(), roots)) < 1e-9
 
 
 @pytest.mark.parametrize("tol", [-1e-9, math.nan, 0.0])
