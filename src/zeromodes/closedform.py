@@ -17,6 +17,7 @@ sweep over the pieces; a scalar coupling is an array of size 1.  On a gap
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,6 +119,4 @@ def gap_angle_relation_check(theta_a: float, theta_b: float, k: float, length: f
     """
     if length <= 0:
         raise ValueError("length must be > 0")
-    import math
-
     return math.sin(theta_b - theta_a) - math.tanh(k * length) * math.cos(theta_b + theta_a)

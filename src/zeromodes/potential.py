@@ -4,7 +4,8 @@ A piecewise-constant potential is a step function with compact support,
 described by ordered breakpoints a0 < a1 < ... < am and one amplitude per
 interior interval; it evaluates to 0 outside [a0, am].  An analytic
 potential wraps an evaluator together with a decay hint X0 beyond which
-the absolute tail integral is negligible.
+the absolute tail integral is negligible.  Only its quadratures and
+synthesize_one_gap call scipy, through _scipy.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Union
 
-from scipy.integrate import quad
-
+from ._scipy import brentq, quad
 from .errors import (
     InfeasibleTriple,
     LengthMismatch,
@@ -306,8 +306,6 @@ def synthesize_one_gap(v: float, A: float, u: float, k: float = 1.0) -> Piecewis
 
     beta = w / v
     target = A / v  # in (1, beta)
-
-    from scipy.optimize import brentq
 
     from .asymptotics import nu  # local import: asymptotics depends on this module
 

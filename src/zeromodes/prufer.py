@@ -22,7 +22,8 @@ same solve also carries the variational equation of each angle (2n more
 components).  Those components get an infinite absolute tolerance, so the
 error norm sees only the angles, and the tolerances are divided by
 sqrt(4n) to keep each angle's budget; such a solve also halves the
-relative tolerance, since a refined root is read from one of them.
+relative tolerance, since a refined root is read from one of them.  The
+solver is scipy's DOP853, loaded at the first solve.
 
 Matching conventions (zero sets are convention independent):
 
@@ -46,8 +47,8 @@ from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from ._scipy import solve_ivp
 from .errors import NonPositiveK, StepUnderflow
 from .potential import (
     AnalyticPotential,

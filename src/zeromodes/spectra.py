@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq  # noqa: F401  (wrapped by bench/tracing.py)
 
+from ._scipy import brentq  # noqa: F401  (wrapped by bench/tracing.py)
 from .closedform import determinant
 from .errors import (
     BoundaryRoot,
@@ -63,7 +63,9 @@ _MAX_SCAN_CELLS = 2**20  # a scan that needs a finer grid fails instead
 class Root:
     value: complex
     residual: float
-    method: str  # "delta-bisect", "determinant-bisect", "winding-newton"
+    # "delta-bisect", "determinant-bisect", "winding-newton": the pipeline and its
+    # bracketing driver, not the refiner's last step (Newton roots are "delta-bisect")
+    method: str
     multiplicity: int = 1
 
 

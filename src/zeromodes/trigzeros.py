@@ -12,7 +12,8 @@ exclusion and inclusion tests of interval analysis; Moore, Kearfott &
 Cloud, Introduction to Interval Analysis, SIAM 2009).  A perturbation
 carries no such bound, so phi != None takes a sampled sign scan whose
 crossings are refined by the batched false-position refiner of spectra,
-with near-tangential dips refined by local minimization.
+with near-tangential dips refined by local minimization.  Only that dip
+path calls scipy, which it loads on its first dip.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
+from ._scipy import brentq, minimize_scalar
 from .errors import DegenerateEndpoint, NotCoprime, OutOfDomain, UnresolvedCell
 from .spectra import _refine
 

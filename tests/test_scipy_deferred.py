@@ -1,0 +1,68 @@
+"""Step-potential paths never load scipy; analytic and perturbed ones load it
+on first use.  The checks run in a fresh interpreter, because the test
+modules themselves import scipy."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import zeromodes
+
+SCRIPT = r"""
+import math
+import sys
+
+import numpy as np
+
+import zeromodes, zeromodes.cli
+from zeromodes import cli
+from zeromodes.asymptotics import compare, predict
+from zeromodes.potential import build_w, hrp_potential
+from zeromodes.prufer import delta_v
+from zeromodes.spectra import complex_spectrum, phase_grid, real_spectrum
+from zeromodes.trigzeros import Perturbation, TrigParams, brute_count, scan_zeros
+
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+
+out = sys.argv[1]
+bump = build_w([-1.0, 1.0], [1.0])
+pair = build_w([-1.5, -0.5, 0.5, 1.5], [-1.0, 0.0, 1.0])
+gap_pair = build_w([-2.0, -1.0, 0.0, 2.0], [-1.0, 0.0, 1.0])
+for method in ("delta", "determinant"):
+    assert real_spectrum(bump, 1.0, 10.0, method=method).roots
+complex_spectrum(pair, 1.0, (10.0, 40.0, 0.05, 2.0))
+phase_grid(pair, 1.0, (0.0, 20.0, -2.0, 2.0), 16, 8)
+spectrum = real_spectrum(gap_pair, 1.0, 60.0)
+compare(spectrum, predict(gap_pair, 1.0), 60.0)
+assert brute_count(TrigParams(0.9, 3.0), 300.0, math.pi / 24) > 0
+assert cli.main(["spectrum", "--potential", "w:[-1,1]:1", "--k", "1", "--R", "10",
+                 "--out", out + "/roots.jsonl"]) == 0
+assert cli.main(["phaseplot", "--potential", "w:[-1.5,-0.5,0.5,1.5]:-1,0,1", "--k", "1",
+                 "--re-min", "0", "--re-max", "20", "--im-min", "-2", "--im-max", "2",
+                 "--nx", "16", "--ny", "8", "--out-prefix", out + "/plot"]) == 0
+assert not loaded(), f"{len(loaded())} scipy modules loaded, first {loaded()[0]}"
+
+# a bell that lifts f = cos(x) to -1e-7 at pi and above 0 around it: two
+# zeros inside one sampled cell, found by the minimize-then-bracket path
+c = 1.0 - 1e-7
+bell = lambda x: np.exp(-(((x - math.pi) / 3.0) ** 2))
+phi = Perturbation(value=lambda x: c * bell(x),
+                   deriv=lambda x: -2.0 * c * (x - math.pi) / 9.0 * bell(x))
+assert len(scan_zeros(TrigParams(0.0, 3.0, phi), 0.0, 6.0, 0.1).roots) == 2
+assert "scipy.optimize" in sys.modules
+assert math.isfinite(delta_v(hrp_potential(), 1.0, 1.0))
+assert "scipy.integrate" in sys.modules
+"""
+
+
+def test_step_paths_do_not_load_scipy(tmp_path):
+    src = str(Path(zeromodes.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", SCRIPT, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
