@@ -1,16 +1,7 @@
 """The package's only way to scipy: each function imports scipy on its first
-call, so step-potential paths never load it.  Callers bind these names at
-module level, where they stay wrappable and patchable by name."""
-
-
-def quad(*args, **kwargs):
-    from scipy.integrate import quad
-    return quad(*args, **kwargs)
-
-
-def solve_ivp(*args, **kwargs):
-    from scipy.integrate import solve_ivp
-    return solve_ivp(*args, **kwargs)
+call, so only the paths that call them load it (synthesize_one_gap and
+perturbed trig scans).  Callers bind these names at module level, where
+they stay wrappable and patchable by name."""
 
 
 def brentq(*args, **kwargs):

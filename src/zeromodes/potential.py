@@ -4,8 +4,8 @@ A piecewise-constant potential is a step function with compact support,
 described by ordered breakpoints a0 < a1 < ... < am and one amplitude per
 interior interval; it evaluates to 0 outside [a0, am].  An analytic
 potential wraps an evaluator together with a decay hint X0 beyond which
-the absolute tail integral is negligible.  Only its quadratures and
-synthesize_one_gap call scipy, through _scipy.
+the absolute tail integral is negligible; its integrals are taken by
+Gauss-Legendre panels.  Only synthesize_one_gap calls scipy, through _scipy.
 """
 
 from __future__ import annotations
@@ -13,9 +13,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Union
 
-from ._scipy import brentq, quad
+import numpy as np
+
+from ._scipy import brentq
 from .errors import (
     InfeasibleTriple,
     LengthMismatch,
@@ -50,7 +53,9 @@ __all__ = [
     "from_record",
 ]
 
-_QUAD_TOL = 1e-10
+_GAUSS_POINTS = 20  # per panel
+_MAX_PANELS = 1024
+_QUAD_RTOL = 5e-15  # of the integral of |f|, between two panel counts
 
 
 @dataclass(frozen=True)
@@ -188,26 +193,58 @@ def canonicalize(V: PiecewiseConstantPotential) -> PiecewiseConstantPotential:
     return PiecewiseConstantPotential(tuple(mbp), tuple(mvals))
 
 
+@lru_cache(maxsize=1)
+def _gauss_legendre():
+    from numpy.polynomial.legendre import leggauss  # costs ms: load on first use
+
+    nodes, weights = leggauss(_GAUSS_POINTS)
+    return 0.5 * (nodes + 1.0), 0.5 * weights  # on [0, 1]
+
+
+def _quad(f, a: float, b: float = math.inf) -> float:
+    """Integral of the scalar function f over [a, b]: Gauss-Legendre on
+    equal panels, their number doubled until two sums agree to _QUAD_RTOL
+    of the integral of |f| (or reach _MAX_PANELS).  With b = inf, the map
+    x = a + u/(1-u) takes u in [0, 1) onto [a, inf), so f must decay."""
+    nodes, weights = _gauss_legendre()
+    last, panels = None, 1
+    while True:
+        u = (np.arange(panels)[:, None] + nodes).ravel() / panels
+        w = np.tile(weights, panels) / panels
+        if b == math.inf:
+            x, w = a + u / (1.0 - u), w / (1.0 - u) ** 2
+        else:
+            x, w = a + (b - a) * u, (b - a) * w
+        fw = np.array([f(xi) for xi in x.tolist()]) * w
+        total = math.fsum(fw)
+        if last is not None and (abs(total - last) <= _QUAD_RTOL * float(np.abs(fw).sum())
+                                 or panels >= _MAX_PANELS):
+            return total
+        last, panels = total, 2 * panels
+
+
+def _tails(f, X: float) -> float:
+    """Integral of f over |x| > X."""
+    return _quad(lambda x: f(-x), X) + _quad(f, X)
+
+
+def _line_integral(f, X: float) -> float:
+    """Integral of f over the line, with panel edges at -X, 0 and X."""
+    return (_quad(f, -X, 0.0) + _quad(f, 0.0, X)) + _tails(f, X)
+
+
 def l1_norm(V: Potential) -> float:
     """Integral of |V| over the line (exact for steps, quadrature otherwise)."""
     if isinstance(V, PiecewiseConstantPotential):
         return sum(abs(v) * ln for v, ln in zip(V.values, V.piece_lengths))
-    total, _ = quad(lambda x: abs(V(x)), -V.decay_hint, V.decay_hint,
-                    epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=400, points=[0.0])
-    lo, _ = quad(lambda x: abs(V(x)), -math.inf, -V.decay_hint, epsabs=_QUAD_TOL)
-    hi, _ = quad(lambda x: abs(V(x)), V.decay_hint, math.inf, epsabs=_QUAD_TOL)
-    return total + lo + hi
+    return _line_integral(lambda x: abs(V(x)), V.decay_hint)
 
 
 def integral(V: Potential) -> float:
     """Integral of V over the line."""
     if isinstance(V, PiecewiseConstantPotential):
         return sum(v * ln for v, ln in zip(V.values, V.piece_lengths))
-    total, _ = quad(V, -V.decay_hint, V.decay_hint,
-                    epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=400, points=[0.0])
-    lo, _ = quad(V, -math.inf, -V.decay_hint, epsabs=_QUAD_TOL)
-    hi, _ = quad(V, V.decay_hint, math.inf, epsabs=_QUAD_TOL)
-    return total + lo + hi
+    return _line_integral(V, V.decay_hint)
 
 
 def tail_l1(V: Potential, X: float) -> float:
@@ -226,9 +263,7 @@ def tail_l1(V: Potential, X: float) -> float:
             right = max(0.0, hi - max(lo, X))
             total += abs(v) * min(hi - lo, left + right)
         return total
-    lo, _ = quad(lambda x: abs(V(x)), -math.inf, -X, epsabs=1e-13)
-    hi, _ = quad(lambda x: abs(V(x)), X, math.inf, epsabs=1e-13)
-    return lo + hi
+    return _tails(lambda x: abs(V(x)), X)
 
 
 def classify_gaps(V: PiecewiseConstantPotential) -> GapStructure:

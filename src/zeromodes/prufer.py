@@ -23,7 +23,7 @@ components).  Those components get an infinite absolute tolerance, so the
 error norm sees only the angles, and the tolerances are divided by
 sqrt(4n) to keep each angle's budget; such a solve also halves the
 relative tolerance, since a refined root is read from one of them.  The
-solver is scipy's DOP853, loaded at the first solve.
+solver is the DOP853 pair in _dop853, whose step control is scipy's.
 
 Matching conventions (zero sets are convention independent):
 
@@ -48,7 +48,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from ._scipy import solve_ivp
+from ._dop853 import solve_ivp
 from .errors import NonPositiveK, StepUnderflow
 from .potential import (
     AnalyticPotential,
@@ -180,7 +180,8 @@ def _walk_ode(theta0: Sequence[float], x0: Sequence[float], direction: Sequence[
               rtol: float = _ODE_RTOL, slope: bool = False):
     """Lifted angles, shape (branches, couplings), from one adaptive solve
     whose state holds every branch for every coupling; with slope, the pair
-    (angles, their derivatives in gamma) from the same solve.
+    (angles, their derivatives in gamma) from the same solve.  V is a scalar
+    function of x.
 
     Branch b starts from theta0[b] at x0[b] and walks length in direction[b]
     (+1 or -1): it sits at x = x0[b] + direction[b]*s for the shared variable
@@ -203,28 +204,29 @@ def _walk_ode(theta0: Sequence[float], x0: Sequence[float], direction: Sequence[
     n = start.size
     y = np.concatenate([start.ravel(), np.zeros(n if slope else 0)])
     ends = [(float(a), float(d)) for a, d in zip(x0, direction)]
+    # the right-hand side writes into these; the stepper copies what it returns
+    v = np.empty((len(ends), 1))
+    out = np.empty(y.size)
+    rates = out.reshape((-1,) + start.shape)  # angles, then slopes
+    twice, term = np.empty(n), np.empty(n)
 
     def rhs(s, state):
-        out = np.multiply.outer([V(a + d * s) for a, d in ends], gammas).ravel()
-        out += k * np.cos(2.0 * state)
+        v[:, 0] = [V(a + d * s) for a, d in ends]
+        np.multiply(v, gammas, out=rates[0])
+        np.multiply(state[:n], 2.0, out=twice)
+        np.multiply(np.cos(twice, out=term), k, out=term)
+        out[:n] += term
+        if slope:
+            np.multiply(np.sin(twice, out=term), 2.0 * k, out=term)
+            np.multiply(term, state[n:], out=term)
+            np.subtract(v, term.reshape(start.shape), out=rates[1])
         return out
-
-    def rhs_slope(s, state):
-        v = np.array([V(a + d * s) for a, d in ends])[:, None]
-        u, p = state.reshape((2,) + start.shape)
-        w = 2.0 * u
-        return np.concatenate([(v * gammas + k * np.cos(w)).ravel(),
-                               (v - 2.0 * k * np.sin(w) * p).ravel()])
 
     if length != 0 and n != 0:
         shrink = 1.0 / math.sqrt(y.size)
         atol = np.where(np.arange(y.size) < n, _ODE_ATOL * shrink, np.inf)
-        sol = solve_ivp(rhs_slope if slope else rhs, (0.0, length), y, method="DOP853",
-                        rtol=rtol * shrink, atol=atol,
-                        t_eval=[length])  # store only the end state, not one per step
-        if not sol.success:
-            raise StepUnderflow(f"integrator stalled before s = {length:.6g}: {sol.message}")
-        y = sol.y[:, -1]
+        y_old, y = solve_ivp(rhs, (0.0, length), y, rtol * shrink, atol)
+        y = y_old + (y - y_old)  # the end value of the last step's DOP853 interpolant
     angles = sign * y[:n].reshape(start.shape)
     return (angles, sign * y[n:].reshape(start.shape)) if slope else angles
 
@@ -268,8 +270,8 @@ def delta_grid(V: Potential, gammas: Sequence[float], k: float, slope: bool = Fa
     if isinstance(V, AnalyticPotential):
         # share one cutoff across the grid so the scan is consistent
         X = choose_truncation(V, float(np.max(np.abs(g), initial=0.0)))
-        walk = _walk_ode([-math.pi / 4, math.pi / 4], [X, -X], [-1.0, 1.0], X, V, g, k,
-                         _ODE_RTOL * (0.5 if slope else 1.0), slope)
+        walk = _walk_ode([-math.pi / 4, math.pi / 4], [X, -X], [-1.0, 1.0], X, V.evaluator,
+                         g, k, _ODE_RTOL * (0.5 if slope else 1.0), slope)
         if not slope:
             return -math.pi / 2 - walk[0] + walk[1]
         (plus, minus), (dplus, dminus) = walk
@@ -320,11 +322,8 @@ def _derivative_half(V, theta0: float, x0: float, x1: float, gamma: float, k: fl
             -math.exp(-2.0 * k * S) * V(x),
         ]
 
-    sol = solve_ivp(rhs, (x0, x1), [theta0, 0.0, 0.0], method="DOP853",
-                    rtol=1e-11, atol=1e-13)
-    if not sol.success:
-        raise StepUnderflow(f"integrator stalled near x = {sol.t[-1]:.6g}")
-    return float(sol.y[0, -1]), float(sol.y[1, -1]), float(sol.y[2, -1])
+    th, S, I = solve_ivp(rhs, (x0, x1), [theta0, 0.0, 0.0], 1e-11, 1e-13)[1]
+    return float(th), float(S), float(I)
 
 
 def delta_derivative(V: Potential, gamma: float, k: float) -> float:

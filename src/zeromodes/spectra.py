@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -112,17 +113,23 @@ def _scan_step(V: Potential, k: float) -> float:
     """Coupling step over which the phase of a zero mode turns by at most
     about pi/4: an a-priori slope heuristic from the potential's L1 norm
     and effective diameter."""
-    l1 = l1_norm(V)
     if isinstance(V, PiecewiseConstantPotential):
         hull = V.support_hull()
-        diam = 0.0 if hull is None else hull[1] - hull[0]
+        l1, diam = l1_norm(V), 0.0 if hull is None else hull[1] - hull[0]
     else:
-        # width containing 95% of the mass
-        W = 1.0
-        while tail_l1(V, W) > 0.05 * l1 and W < V.decay_hint:
-            W *= 2.0
-        diam = 2.0 * min(W, V.decay_hint)
+        l1, diam = _mass_and_width(V)
     return math.pi / (4.0 * (1.1 * l1 + k * diam + 1e-12))
+
+
+@lru_cache(maxsize=512)
+def _mass_and_width(V: AnalyticPotential) -> tuple[float, float]:
+    """L1 norm of an analytic V and the width containing 95% of it, from
+    quadratures run once per potential."""
+    l1 = l1_norm(V)
+    W = 1.0
+    while tail_l1(V, W) > 0.05 * l1 and W < V.decay_hint:
+        W *= 2.0
+    return l1, 2.0 * min(W, V.decay_hint)
 
 
 def _levels_below(d: np.ndarray, strict: bool) -> np.ndarray:

@@ -13,6 +13,7 @@ from zeromodes.errors import (
     ZeroIntegral,
 )
 from zeromodes.potential import (
+    AnalyticPotential,
     GapKind,
     build_w,
     classify_gaps,
@@ -86,6 +87,31 @@ def test_tail_l1():
     got = tail_l1(hrp_potential(), 3.0)
     want, _ = quad(lambda x: 1.0 / math.cosh(x), 3.0, 60.0)
     assert abs(got - 2.0 * want) < 1e-10
+
+
+def _quad_reference(f, X):
+    """scipy's adaptive quadrature over |x| < X, split at 0, and over |x| > X."""
+    opts = dict(epsabs=1e-14, epsrel=1e-13, limit=400)
+    parts = [quad(f, -X, 0.0, **opts), quad(f, 0.0, X, **opts),
+             quad(f, -math.inf, -X, **opts), quad(f, X, math.inf, **opts)]
+    return [p[0] for p in parts]
+
+
+@pytest.mark.parametrize("V", [
+    translate(hrp_potential(), 0.7),
+    negate(hrp_potential()),
+    mirror(translate(hrp_potential(), -1.3)),
+    AnalyticPotential(lambda x: math.exp(-x * x), decay_hint=7.0),
+    AnalyticPotential(lambda x: x * math.exp(-x * x), decay_hint=7.0),  # |V| has a kink at 0
+    AnalyticPotential(lambda x: 1.0 / (1.0 + x * x), decay_hint=10.0),  # algebraic tail
+], ids=["translate", "negate", "mirror", "gauss", "odd-gauss", "lorentz"])
+def test_quadratures_match_scipy_quad(V):
+    # Gauss-Legendre panels with panel doubling, against scipy's adaptive rule
+    assert abs(l1_norm(V) - sum(_quad_reference(lambda x: abs(V(x)), V.decay_hint))) < 1e-13
+    assert abs(integral(V) - sum(_quad_reference(V, V.decay_hint))) < 1e-13
+    for X in (0.0, 0.5, 2.0, 6.0, 15.0):
+        want = sum(_quad_reference(lambda x: abs(V(x)), X)[2:])
+        assert abs(tail_l1(V, X) - want) < 1e-13
 
 
 def test_classify_gaps():

@@ -1,6 +1,6 @@
-"""Step-potential paths never load scipy; analytic and perturbed ones load it
-on first use.  The checks run in a fresh interpreter, because the test
-modules themselves import scipy."""
+"""Step and analytic potential paths never load scipy; perturbed trig scans
+load it on first use.  The checks run in a fresh interpreter, because the
+test modules themselves import scipy."""
 
 import os
 import subprocess
@@ -19,7 +19,7 @@ import zeromodes, zeromodes.cli
 from zeromodes import cli
 from zeromodes.asymptotics import compare, predict
 from zeromodes.potential import build_w, hrp_potential
-from zeromodes.prufer import delta_v
+from zeromodes.prufer import choose_truncation, delta_derivative, delta_v
 from zeromodes.spectra import complex_spectrum, phase_grid, real_spectrum
 from zeromodes.trigzeros import Perturbation, TrigParams, brute_count, scan_zeros
 
@@ -44,6 +44,15 @@ assert cli.main(["spectrum", "--potential", "w:[-1,1]:1", "--k", "1", "--R", "10
 assert cli.main(["phaseplot", "--potential", "w:[-1.5,-0.5,0.5,1.5]:-1,0,1", "--k", "1",
                  "--re-min", "0", "--re-max", "20", "--im-min", "-2", "--im-max", "2",
                  "--nx", "16", "--ny", "8", "--out-prefix", out + "/plot"]) == 0
+assert delta_derivative(bump, 1.0, 1.0) > 0
+
+well = hrp_potential()
+assert choose_truncation(well, 1.0) >= well.decay_hint
+assert math.isfinite(delta_v(well, 1.0, 1.0))
+assert delta_derivative(well, 1.0, 1.0) < 0  # the well is negative
+assert len(real_spectrum(well, 1.0, 6.0).roots) == 5
+assert cli.main(["spectrum", "--potential", "hrp", "--k", "1", "--R", "6",
+                 "--out", out + "/hrp.jsonl"]) == 0
 assert not loaded(), f"{len(loaded())} scipy modules loaded, first {loaded()[0]}"
 
 # a bell that lifts f = cos(x) to -1e-7 at pi and above 0 around it: two
@@ -54,8 +63,6 @@ phi = Perturbation(value=lambda x: c * bell(x),
                    deriv=lambda x: -2.0 * c * (x - math.pi) / 9.0 * bell(x))
 assert len(scan_zeros(TrigParams(0.0, 3.0, phi), 0.0, 6.0, 0.1).roots) == 2
 assert "scipy.optimize" in sys.modules
-assert math.isfinite(delta_v(hrp_potential(), 1.0, 1.0))
-assert "scipy.integrate" in sys.modules
 """
 
 
