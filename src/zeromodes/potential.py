@@ -5,7 +5,7 @@ described by ordered breakpoints a0 < a1 < ... < am and one amplitude per
 interior interval; it evaluates to 0 outside [a0, am].  An analytic
 potential wraps an evaluator together with a decay hint X0 beyond which
 the absolute tail integral is negligible; its integrals are taken by
-Gauss-Legendre panels.  Only synthesize_one_gap calls scipy, through _scipy.
+Gauss-Legendre panels.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from typing import Callable, Union
 
 import numpy as np
 
-from ._scipy import brentq
 from .errors import (
     InfeasibleTriple,
     LengthMismatch,
@@ -342,11 +341,14 @@ def synthesize_one_gap(v: float, A: float, u: float, k: float = 1.0) -> Piecewis
     beta = w / v
     target = A / v  # in (1, beta)
 
-    from .asymptotics import nu  # local import: asymptotics depends on this module
+    # local imports: asymptotics and spectra depend on this module
+    from .asymptotics import nu
+    from .spectra import _refine
 
     lo = 1.0 / beta * (1.0 + 1e-12)
     hi = 1.0 - 1e-14
-    alpha = brentq(lambda a: nu(a, beta) - target, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    miss = lambda a: np.array([nu(float(a[0]), beta) - target])
+    alpha = float(_refine(lambda idx, a: miss(a), [lo], [hi], miss([lo]), miss([hi]), 1e-15)[0][0])
     g = math.atanh(alpha) / k
 
     v0 = 0.5 * (u - w)

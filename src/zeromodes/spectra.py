@@ -12,7 +12,7 @@ evaluation per iteration.  On analytic potentials, where one ODE solve
 gives Delta and its slope, the refiner starts from an inverse cubic
 through the scan nodes and takes Newton steps, with false position as the
 fallback.  trigzeros.scan_zeros reuses the same refiner for its certified
-single-zero cells.
+single-zero cells, and potential.synthesize_one_gap for its one bracket.
 Complex couplings of step potentials are located by the phase winding of
 the matching determinant around rectangles, a whole level of boxes per
 kernel call with no cache between calls, then by Newton batched likewise.
@@ -28,7 +28,6 @@ from typing import Callable
 
 import numpy as np
 
-from ._scipy import brentq  # noqa: F401  (wrapped by bench/tracing.py)
 from .closedform import determinant
 from .errors import (
     BoundaryRoot,
@@ -257,6 +256,9 @@ def _refine(f: Callable, lo: np.ndarray, hi: np.ndarray, flo: np.ndarray, fhi: n
             root[idx[close]], resid[idx[close]] = (x - step)[close], size[close]
             newton[idx] = np.where(halving, x - step, np.nan)
             last[idx] = size
+
+
+brentq = _refine  # wrapped by name by bench/tracing.py; nothing calls it
 
 
 def _check_rectangle(rectangle) -> tuple[float, float, float, float]:

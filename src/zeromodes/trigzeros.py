@@ -4,16 +4,14 @@ This is the elementary model problem behind the one-gap counting law: the
 asymptotic zero density of f equals A(alpha, beta) / pi, with an exact
 finite-sum expression when beta is rational.  brute_count enumerates zeros
 directly and serves as the independent oracle for the closed-form
-densities.  Without a perturbation it counts certified cells: on nodes
-grid_step apart, Taylor bounds from f, f' and f'' at the nodes and
-|f'''| <= 1 + alpha*beta^3 prove each cell empty or holding exactly one
-zero, cells that are neither are halved, and no zero is refined (the root
-exclusion and inclusion tests of interval analysis; Moore, Kearfott &
-Cloud, Introduction to Interval Analysis, SIAM 2009).  A perturbation
-carries no such bound, so phi != None takes a sampled sign scan whose
-crossings are refined by the batched false-position refiner of spectra,
-with near-tangential dips refined by local minimization.  Only that dip
-path calls scipy, which it loads on its first dip.
+densities.  It counts certified cells: on nodes grid_step apart, Taylor
+bounds from f, f' and f'' at the nodes and |f'''| <= 1 + alpha*beta^3 plus
+the perturbation's own bound on |phi'''| prove each cell empty or holding
+exactly one zero, cells that are neither are halved, and no zero is
+refined (the root exclusion and inclusion tests of interval analysis;
+Moore, Kearfott & Cloud, Introduction to Interval Analysis, SIAM 2009).
+scan_zeros refines the single-zero cells with the batched false-position
+refiner of spectra.
 """
 
 from __future__ import annotations
@@ -24,9 +22,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from ._scipy import brentq, minimize_scalar
 from .errors import DegenerateEndpoint, NotCoprime, OutOfDomain, UnresolvedCell
-from .spectra import _refine
+from .spectra import _refine, brentq  # noqa: F401  (brentq: wrapped by bench/tracing.py)
 
 __all__ = [
     "Perturbation",
@@ -46,19 +43,25 @@ __all__ = [
 ]
 
 _TANGENT_ENERGY = 1e-18  # below this, f and f' count as jointly zero
-_DIP_NOISE = 1e-13       # dips shallower than this drown in evaluation noise
 _MIN_CELL = 1e-10        # a cell this narrow is not split further
 
 
 @dataclass(frozen=True)
 class Perturbation:
-    """Decaying perturbation with analytic first derivative.
+    """Decaying perturbation phi with its first two derivatives, and
+    third_bound >= |phi'''(x)| for every real x.
 
     Callables must accept floats and numpy arrays.
     """
 
     value: Callable
     deriv: Callable
+    second_deriv: Callable
+    third_bound: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.third_bound) and self.third_bound >= 0.0):
+            raise OutOfDomain(f"third_bound must be finite and >= 0, got {self.third_bound}")
 
 
 @dataclass(frozen=True)
@@ -76,16 +79,12 @@ class TrigParams:
 
 def f_value(params: TrigParams, x):
     out = np.cos(x) + params.alpha * np.cos(params.beta * x)
-    if params.phi is not None:
-        out = out + params.phi.value(x)
-    return out
+    return out if params.phi is None else out + params.phi.value(x)
 
 
 def f_deriv(params: TrigParams, x):
     out = -np.sin(x) - params.alpha * params.beta * np.sin(params.beta * x)
-    if params.phi is not None:
-        out = out + params.phi.deriv(x)
-    return out
+    return out if params.phi is None else out + params.phi.deriv(x)
 
 
 def energy(params: TrigParams, x):
@@ -216,13 +215,18 @@ def _check_scan(params: TrigParams, lo: float, ends: Sequence[float], grid_step:
 
 
 def _brackets(params: TrigParams, ends: Sequence[float], grid_step: float) -> tuple:
-    """Certified brackets of the zeros of f on [ends[0], ends[-1]], phi = None.
+    """Certified brackets of the zeros of f on [ends[0], ends[-1]].
 
     The nodes lie at most grid_step apart, and every end is a node.  f, f'
-    and f'' are evaluated at the nodes (f through f_value) and
-    |f'''| <= 1 + alpha beta^3 bounds the Taylor remainders.  A node is
-    resolved where |f| exceeds eps, a bound on the rounding of f and of
-    the derivative terms below.  A cell [a, b] of half width t is
+    and f'' are evaluated at the nodes (f through f_value, f'' as
+    (beta^2 - 1) cos x - beta^2 f, plus beta^2 phi + phi'' with a
+    perturbation) and |f'''| <= M3 = 1 + alpha beta^3 + phi.third_bound
+    bounds the Taylor remainders.  A node is resolved where |f| exceeds
+    eps, a bound on the rounding of f and of the derivative terms below.
+    eps counts a few ulps of each cosine term; it assumes that phi, phi'
+    and phi'' are evaluated to within as few ulps of 1, which holds for a
+    phi of size at most about 1 computed without cancellation.  A cell
+    [a, b] of half width t is
 
     * empty if f has one sign at both resolved ends and the concave lower
       bound s f(a) + s f'(a) u - |f''(a)| u^2/2 - M3 u^3/6 (and its mirror
@@ -241,17 +245,19 @@ def _brackets(params: TrigParams, ends: Sequence[float], grid_step: float) -> tu
     an end within rounding of a zero, and for a stopped cell with no sign
     change within grid_step (an even-order tangency, say).  A stopped cell
     next to a sign change is accepted: it lies in the rounding band of
-    that zero, where a further pair of zeros would be as unresolvable as
-    it is to the sampled scan.
+    that zero, where a further pair of zeros cannot be resolved in double
+    precision either.
     """
-    al, be = params.alpha, params.beta
-    m3 = 1.0 + al * be ** 3
+    al, be, phi = params.alpha, params.beta, params.phi
+    m3 = 1.0 + al * be ** 3 + (0.0 if phi is None else phi.third_bound)
     eps = 8.0 * np.finfo(float).eps * (1.0 + al * (1.0 + be * max(abs(ends[0]), abs(ends[-1]))))
     eps_d = eps * (1.0 + be)  # the same rounding, differentiated once
 
     def jet(x):
         f = f_value(params, x)
-        return f, f_deriv(params, x), (be * be - 1.0) * np.cos(x) - be * be * f
+        c = (be * be - 1.0) * np.cos(x) - be * be * f
+        c = c if phi is None else c + be * be * phi.value(x) + phi.second_deriv(x)
+        return f, f_deriv(params, x), c
 
     parts = [np.linspace(a, b, int(math.ceil((b - a) / grid_step)) + 1)[:-1]
              for a, b in zip(ends, ends[1:])]
@@ -313,85 +319,17 @@ def _brackets(params: TrigParams, ends: Sequence[float], grid_step: float) -> tu
     return xr[change], xr[change + 1], fr[change], fr[change + 1], cluster[change]
 
 
-def _sampled_scan(params: TrigParams, lo: float, hi: float, grid_step: float) -> ZeroScan:
-    """scan_zeros for phi != None: a sign scan oversampled 8x, dips by minimization."""
-    h = grid_step / 8.0
-    n = int(math.ceil((hi - lo) / h))
-    xs = np.linspace(lo, hi, n + 1)
-    vals = np.asarray(f_value(params, xs), dtype=float)
-
-    roots: list[float] = []
-
-    # exact grid hits (measure zero, but cheap to honour)
-    zero_nodes = np.nonzero(vals == 0.0)[0]
-    for i in zero_nodes:
-        roots.append(float(xs[i]))
-
-    sgn = np.sign(vals)
-    crossing = (sgn[:-1] * sgn[1:]) < 0
-    cells = np.nonzero(crossing)[0]
-    found, _ = _refine(lambda idx, x: f_value(params, x), xs[cells], xs[cells + 1],
-                       vals[cells], vals[cells + 1], 1e-12)
-    roots.extend(found.tolist())
-    tangential = tuple(found[energy(params, found) < _TANGENT_ENERGY].tolist())
-
-    # near-tangential dips: interior |f| minima below the curvature scale,
-    # away from any sign change
-    curv = 1.0 + params.alpha * params.beta ** 2
-    tau = 4.0 * h * h * curv
-    av = np.abs(vals)
-    mid = av[1:-1]
-    cand = 1 + np.nonzero((mid <= av[:-2]) & (mid <= av[2:]) & (mid < tau)
-                          & (vals[1:-1] != 0.0))[0]
-    noise = _DIP_NOISE * (1.0 + params.alpha)
-    for i in cand:
-        if crossing[i - 1] or crossing[i]:
-            continue
-        s = 1.0 if vals[i] > 0 else -1.0
-        signed_f = lambda x: s * float(f_value(params, x))
-        res = minimize_scalar(signed_f, bounds=(xs[i - 1], xs[i + 1]), method="bounded",
-                              options={"xatol": 1e-12})
-        xm, fm = float(res.x), float(res.fun)  # fm is the signed dip depth
-        if fm > noise:  # stays clear of zero
-            continue
-        if fm < -noise:  # dips across and back: exactly two transversal zeros
-            roots.append(brentq(signed_f, xs[i - 1], xm, xtol=1e-12, rtol=8.9e-16))
-            roots.append(brentq(signed_f, xm, xs[i + 1], xtol=1e-12, rtol=8.9e-16))
-            continue
-        # grazing within evaluation noise: 0, 1 (tangential) or 2 zeros are
-        # indistinguishable in double precision
-        raise UnresolvedCell(f"ambiguous grazing of f near x = {xm:.9g} (dip depth {fm:.3e})")
-
-    roots.sort()
-    out = []
-    for r in roots:
-        if out and r - out[-1] < 1e-9:
-            continue
-        out.append(r)
-    return ZeroScan(np.array(out), tangential)
-
-
 def scan_zeros(params: TrigParams, lo: float, hi: float, grid_step: float) -> ZeroScan:
     """The zeros of f on [lo, hi], refined to 1e-12.
 
-    Without a perturbation the zeros come from the certified brackets of
-    _brackets, on nodes grid_step apart: the single-zero brackets are
-    refined all at once by the batched false-position refiner of spectra,
-    and each stopped cluster (a zero of odd multiplicity) is one zero at
-    its bracket midpoint, listed as tangential.  UnresolvedCell is raised
-    where a zero cannot be told from rounding (see _brackets).
-
-    A perturbation phi comes with no bound on its third derivative, so
-    phi != None is the one input the sampled scan still serves.  It
-    oversamples the grid 8x and refines its sign changes the same way;
-    cells whose ends agree in sign but dip near zero are minimized and
-    classified as 0 or 2 zeros, and a dip grazing zero within evaluation
-    noise raises UnresolvedCell.  Its tangential zeros are the refined
-    ones where f and f' vanish together.
+    The zeros come from the certified brackets of _brackets, on nodes
+    grid_step apart: the single-zero brackets are refined all at once by
+    the batched false-position refiner of spectra, and each stopped
+    cluster (a zero of odd multiplicity) is one zero at its bracket
+    midpoint, listed as tangential.  UnresolvedCell is raised where a zero
+    cannot be told from rounding (see _brackets).
     """
     _check_scan(params, lo, [hi], grid_step)
-    if params.phi is not None:
-        return _sampled_scan(params, lo, hi, grid_step)
     a, b, fa, fb, cluster = _brackets(params, [lo, hi], grid_step)
     roots = 0.5 * (a + b)
     single = ~cluster
@@ -401,31 +339,21 @@ def scan_zeros(params: TrigParams, lo: float, hi: float, grid_step: float) -> Ze
 
 
 def brute_count(params: TrigParams, R: float, grid_step: float) -> int:
-    """Number of zeros of f on [0, R].
-
-    Without a perturbation this is the number of certified brackets of
-    _brackets (no zero is refined); with one, the count of the sampled
-    scan of scan_zeros.
-    """
+    """Number of zeros of f on [0, R]: the number of certified brackets of
+    _brackets (no zero is refined)."""
     _check_scan(params, 0.0, [R], grid_step)
-    if params.phi is not None:
-        return _sampled_scan(params, 0.0, R, grid_step).count()
     return int(_brackets(params, [0.0, R], grid_step)[0].size)
 
 
 def density_trace(params: TrigParams, R_values: Sequence[float], grid_step: float):
     """Rows (R, count, count/R), sorted by R, from one count up to max(R_values).
 
-    Without a perturbation every R is a node of the certified brackets, so
-    each row equals brute_count at its R; with one, the rows count the
-    zeros of one sampled scan of scan_zeros up to max(R_values).
+    Every R is a node of the certified brackets, so each row equals
+    brute_count at its R.
     """
     Rs = sorted(float(R) for R in R_values)
     _check_scan(params, 0.0, Rs, grid_step)
-    if params.phi is None:
-        upper = _brackets(params, np.unique([0.0] + Rs), grid_step)[1]
-    else:
-        upper = _sampled_scan(params, 0.0, Rs[-1], grid_step).roots
+    upper = _brackets(params, np.unique([0.0] + Rs), grid_step)[1]
     counts = np.searchsorted(upper, Rs, side="right")
     return [(R, int(c), int(c) / R) for R, c in zip(Rs, counts)]
 

@@ -1,14 +1,20 @@
-"""Shared potential families and phase walks used across the test suite."""
+"""Shared potential families, phase walks and the sampled trig-zero scan used
+across the test suite."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq, minimize_scalar
 
+from zeromodes.errors import UnresolvedCell
 from zeromodes.potential import build_w, canonicalize, hrp_potential
 from zeromodes.prufer import _lift, _piece_segments, _walk_ode
+from zeromodes.spectra import _refine
+from zeromodes.trigzeros import _TANGENT_ENERGY, TrigParams, ZeroScan, energy, f_value
 
 _REF_RTOL = 1e-13  # the ODE reference for the closed-form kernel on step pieces
+_DIP_NOISE = 1e-13  # dips shallower than this drown in evaluation noise
 
 
 def square_bump():
@@ -59,3 +65,62 @@ def ode_angle(V, theta, x0, x1, gamma, k):
 @pytest.fixture(scope="session")
 def sech_well():
     return hrp_potential()
+
+
+def sampled_scan(params: TrigParams, lo: float, hi: float, grid_step: float) -> ZeroScan:
+    """The reference for the certified trig-zero scan: a sign scan oversampled
+    8x, dips by minimization."""
+    h = grid_step / 8.0
+    n = int(math.ceil((hi - lo) / h))
+    xs = np.linspace(lo, hi, n + 1)
+    vals = np.asarray(f_value(params, xs), dtype=float)
+
+    roots: list[float] = []
+
+    # exact grid hits (measure zero, but cheap to honour)
+    zero_nodes = np.nonzero(vals == 0.0)[0]
+    for i in zero_nodes:
+        roots.append(float(xs[i]))
+
+    sgn = np.sign(vals)
+    crossing = (sgn[:-1] * sgn[1:]) < 0
+    cells = np.nonzero(crossing)[0]
+    found, _ = _refine(lambda idx, x: f_value(params, x), xs[cells], xs[cells + 1],
+                       vals[cells], vals[cells + 1], 1e-12)
+    roots.extend(found.tolist())
+    tangential = tuple(found[energy(params, found) < _TANGENT_ENERGY].tolist())
+
+    # near-tangential dips: interior |f| minima below the curvature scale,
+    # away from any sign change
+    curv = 1.0 + params.alpha * params.beta ** 2
+    tau = 4.0 * h * h * curv
+    av = np.abs(vals)
+    mid = av[1:-1]
+    cand = 1 + np.nonzero((mid <= av[:-2]) & (mid <= av[2:]) & (mid < tau)
+                          & (vals[1:-1] != 0.0))[0]
+    noise = _DIP_NOISE * (1.0 + params.alpha)
+    for i in cand:
+        if crossing[i - 1] or crossing[i]:
+            continue
+        s = 1.0 if vals[i] > 0 else -1.0
+        signed_f = lambda x: s * float(f_value(params, x))
+        res = minimize_scalar(signed_f, bounds=(xs[i - 1], xs[i + 1]), method="bounded",
+                              options={"xatol": 1e-12})
+        xm, fm = float(res.x), float(res.fun)  # fm is the signed dip depth
+        if fm > noise:  # stays clear of zero
+            continue
+        if fm < -noise:  # dips across and back: exactly two transversal zeros
+            roots.append(brentq(signed_f, xs[i - 1], xm, xtol=1e-12, rtol=8.9e-16))
+            roots.append(brentq(signed_f, xm, xs[i + 1], xtol=1e-12, rtol=8.9e-16))
+            continue
+        # grazing within evaluation noise: 0, 1 (tangential) or 2 zeros are
+        # indistinguishable in double precision
+        raise UnresolvedCell(f"ambiguous grazing of f near x = {xm:.9g} (dip depth {fm:.3e})")
+
+    roots.sort()
+    out = []
+    for r in roots:
+        if out and r - out[-1] < 1e-9:
+            continue
+        out.append(r)
+    return ZeroScan(np.array(out), tangential)

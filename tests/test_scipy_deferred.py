@@ -1,6 +1,6 @@
-"""Step and analytic potential paths never load scipy; perturbed trig scans
-load it on first use.  The checks run in a fresh interpreter, because the
-test modules themselves import scipy."""
+"""No public path loads scipy: step and analytic potentials, perturbed trig
+scans and synthesize_one_gap run on numpy alone.  The checks run in a
+fresh interpreter, because the test modules themselves import scipy."""
 
 import os
 import subprocess
@@ -18,7 +18,7 @@ import numpy as np
 import zeromodes, zeromodes.cli
 from zeromodes import cli
 from zeromodes.asymptotics import compare, predict
-from zeromodes.potential import build_w, hrp_potential
+from zeromodes.potential import build_w, hrp_potential, synthesize_one_gap
 from zeromodes.prufer import choose_truncation, delta_derivative, delta_v
 from zeromodes.spectra import complex_spectrum, phase_grid, real_spectrum
 from zeromodes.trigzeros import Perturbation, TrigParams, brute_count, scan_zeros
@@ -53,16 +53,19 @@ assert delta_derivative(well, 1.0, 1.0) < 0  # the well is negative
 assert len(real_spectrum(well, 1.0, 6.0).roots) == 5
 assert cli.main(["spectrum", "--potential", "hrp", "--k", "1", "--R", "6",
                  "--out", out + "/hrp.jsonl"]) == 0
-assert not loaded(), f"{len(loaded())} scipy modules loaded, first {loaded()[0]}"
 
 # a bell that lifts f = cos(x) to -1e-7 at pi and above 0 around it: two
-# zeros inside one sampled cell, found by the minimize-then-bracket path
+# zeros 1e-3 apart; max |d^3/du^3 exp(-u^2)| < 3.91 bounds its phi'''
 c = 1.0 - 1e-7
 bell = lambda x: np.exp(-(((x - math.pi) / 3.0) ** 2))
 phi = Perturbation(value=lambda x: c * bell(x),
-                   deriv=lambda x: -2.0 * c * (x - math.pi) / 9.0 * bell(x))
+                   deriv=lambda x: -2.0 * c * (x - math.pi) / 9.0 * bell(x),
+                   second_deriv=lambda x: c * (4.0 * ((x - math.pi) / 3.0) ** 2 - 2.0) / 9.0
+                   * bell(x),
+                   third_bound=c * 3.91 / 27.0)
 assert len(scan_zeros(TrigParams(0.0, 3.0, phi), 0.0, 6.0, 0.1).roots) == 2
-assert "scipy.optimize" in sys.modules
+assert len(synthesize_one_gap(1.0, 2.0, 4.0, k=1.0).breakpoints) == 5
+assert not loaded(), f"{len(loaded())} scipy modules loaded, first {loaded()[0]}"
 """
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, reject, settings, strategies as st
 
+from conftest import sampled_scan
 from zeromodes.asymptotics import a_density
 from zeromodes.errors import DegenerateEndpoint, NotCoprime, OutOfDomain, UnresolvedCell
 from zeromodes.trigzeros import (
@@ -20,6 +21,21 @@ from zeromodes.trigzeros import (
     scan_zeros,
     tangency_test,
 )
+
+
+def decaying_sine(c, q):
+    """phi = c sin(x) w(x), w = 1 / (1 + q x^2), with exact phi' and phi''.
+    With s = sqrt(q) x, max |dw/ds| = 3 sqrt(3)/8 < 2/3, max |d2w/ds2| = 2
+    and max |d3w/ds3| < 4.67, so |phi'''| <= |c| (|w| + 3|w'| + 3|w''| + |w'''|)
+    <= |c| (1 + 2 sqrt(q) + 6 q + 5 q^1.5)."""
+    d = lambda x: 1.0 + q * x * x
+    return Perturbation(
+        value=lambda x: c * np.sin(x) / d(x),
+        deriv=lambda x: c * (np.cos(x) / d(x) - np.sin(x) * 2.0 * q * x / d(x) ** 2),
+        second_deriv=lambda x: c * (-np.sin(x) / d(x) - 4.0 * q * x * np.cos(x) / d(x) ** 2
+                                    + np.sin(x) * q * (6.0 * q * x * x - 2.0) / d(x) ** 3),
+        third_bound=abs(c) * (1.0 + 2.0 * math.sqrt(q) + 6.0 * q + 5.0 * q ** 1.5),
+    )
 
 
 def test_pure_cosine_count():
@@ -116,12 +132,7 @@ def test_product_identity_near_alpha_one():
 
 
 def test_perturbed_count_keeps_density():
-    phi = Perturbation(
-        value=lambda x: 0.2 * np.sin(x) / (1.0 + 0.01 * x * x),
-        deriv=lambda x: 0.2 * (np.cos(x) / (1.0 + 0.01 * x * x)
-                               - np.sin(x) * 0.02 * x / (1.0 + 0.01 * x * x) ** 2),
-    )
-    p = TrigParams(0.9, 3.0, phi)
+    p = TrigParams(0.9, 3.0, decaying_sine(0.2, 0.01))
     exact = rational_density(3, 1, 0.9)
     n = brute_count(p, 4000.0, math.pi / 24)
     assert abs(n / 4000.0 - exact) / exact < 0.02
@@ -164,19 +175,22 @@ def test_unresolved_grazing_is_surfaced():
     base = TrigParams(0.5, 3.0)
     w = lambda x: np.exp(-(((x - 30.0) / 1.5) ** 4))
     wp = lambda x: -4.0 * ((x - 30.0) / 1.5) ** 3 / 1.5 * w(x)
+    wpp = lambda x: (16.0 * ((x - 30.0) / 1.5) ** 6 - 12.0 * ((x - 30.0) / 1.5) ** 2) / 2.25 * w(x)
     f0 = lambda x: f_value(base, x)
     f0p = lambda x: -np.sin(x) - 1.5 * np.sin(3.0 * x)
+    f0pp = lambda x: -np.cos(x) - 4.5 * np.cos(3.0 * x)
+    # |f0^(n)| <= 1 + 0.5 * 3^n, and |w'|, |w''|, |w'''| < 1.02, 1.71, 6.35
     phi = Perturbation(
         value=lambda x: -f0(x) * w(x) + 1e-14,
         deriv=lambda x: -f0p(x) * w(x) - f0(x) * wp(x),
+        second_deriv=lambda x: -f0pp(x) * w(x) - 2.0 * f0p(x) * wp(x) - f0(x) * wpp(x),
+        third_bound=14.5 + 3.0 * 5.5 * 1.02 + 3.0 * 2.5 * 1.71 + 1.5 * 6.35,
     )
     p = TrigParams(0.5, 3.0, phi)
     with pytest.raises(UnresolvedCell):
         scan_zeros(p, 20.0, 40.0, math.pi / 24)
 
 
-# a zero perturbation sends scan_zeros down the sampled path that phi != None takes
-NO_PHI = Perturbation(value=np.zeros_like, deriv=np.zeros_like)
 P = TrigParams(0.9, 3.0)
 STEP = math.pi / 24
 
@@ -219,7 +233,7 @@ def test_certified_count_refuses_even_tangency():
 def test_certified_scan_matches_sampled_roots():
     p = TrigParams(0.9, 3.0)
     certified = scan_zeros(p, 0.0, 300.0, STEP)
-    sampled = scan_zeros(TrigParams(0.9, 3.0, NO_PHI), 0.0, 300.0, STEP)
+    sampled = sampled_scan(p, 0.0, 300.0, STEP)
     assert certified.count() == sampled.count()
     assert np.max(np.abs(certified.roots - sampled.roots)) < 1e-11
     assert certified.tangential == ()
@@ -236,14 +250,35 @@ def test_zero_at_an_interval_end_is_refused():
 def test_certified_count_matches_sampled_scan(alpha, beta, R):
     step = min(math.pi, math.pi / beta) / 8.0 if beta > 0 else math.pi / 8.0
     try:
-        want = scan_zeros(TrigParams(alpha, beta, NO_PHI), 0.0, R, step).count()
+        want = sampled_scan(TrigParams(alpha, beta), 0.0, R, step).count()
     except UnresolvedCell:
         reject()
     assert brute_count(TrigParams(alpha, beta), R, step) == want
 
 
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 4.0), st.floats(1.0, 200.0),
+       st.floats(-0.5, 0.5), st.floats(1e-4, 1.0))
+def test_perturbed_count_matches_sampled_scan(alpha, beta, R, c, q):
+    p = TrigParams(alpha, beta, decaying_sine(c, q))
+    step = min(math.pi, math.pi / beta) / 8.0 if beta > 0 else math.pi / 8.0
+    try:
+        want = sampled_scan(p, 0.0, R, step).count()
+        got = brute_count(p, R, step)
+    except UnresolvedCell:
+        reject()
+    assert got == want
+
+
 def test_density_trace_rows_equal_brute_count():
     Rs = [37.3, 101.01, 250.7]  # not multiples of the step
-    rows = density_trace(P, Rs, STEP)
-    assert [r[0] for r in rows] == Rs
-    assert [r[1] for r in rows] == [brute_count(P, R, STEP) for R in Rs]
+    for params in (P, TrigParams(0.9, 3.0, decaying_sine(0.2, 0.01))):
+        rows = density_trace(params, Rs, STEP)
+        assert [r[0] for r in rows] == Rs
+        assert [r[1] for r in rows] == [brute_count(params, R, STEP) for R in Rs]
+
+
+@pytest.mark.parametrize("bound", [math.nan, math.inf, -1.0])
+def test_bad_third_bound_is_named(bound):
+    with pytest.raises(OutOfDomain, match="got " + re.escape(str(bound))):
+        Perturbation(np.sin, np.cos, lambda x: -np.sin(x), third_bound=bound)
