@@ -292,6 +292,14 @@ def classify_gaps(V: PiecewiseConstantPotential) -> GapStructure:
     return GapStructure(kind, gaps, tuple(comps))
 
 
+def _check_k(k: float) -> None:
+    """The transverse frequency must be positive and finite."""
+    if not -math.inf < k < math.inf:
+        raise ValueError(f"k must be finite, got {k!r}")
+    if k <= 0:
+        raise NonPositiveK("k must be positive")
+
+
 def one_gap_params(V: PiecewiseConstantPotential, k: float) -> OneGapParams:
     """Shape parameters (alpha, beta) of a one-gap potential.
 
@@ -300,8 +308,7 @@ def one_gap_params(V: PiecewiseConstantPotential, k: float) -> OneGapParams:
     v1 + v2 == 0 (beta undefined; the real spectrum is then finite and the
     caller should use the finite-count prediction instead).
     """
-    if k <= 0:
-        raise NonPositiveK("k must be positive")
+    _check_k(k)
     gs = classify_gaps(V)
     if gs.kind is not GapKind.ONE_GAP:
         raise NotOneGap(f"potential has {gs.gap_count} gaps, need exactly 1")
@@ -324,8 +331,7 @@ def synthesize_one_gap(v: float, A: float, u: float, k: float = 1.0) -> Piecewis
     on the irrational branch, then solves for the gap length that makes the
     closed-form density equal A / v.
     """
-    if k <= 0:
-        raise NonPositiveK("k must be positive")
+    _check_k(k)
     if not (0.0 < v < A < u):
         raise InfeasibleTriple(f"need 0 < v < A < u, got v={v}, A={A}, u={u}")
 
@@ -435,6 +441,8 @@ def from_record(text: str) -> Potential:
         fields[key.strip()] = val.strip()
     kind = fields.get("kind")
     if kind == "piecewise":
+        if "breakpoints" not in fields:
+            raise ValueError("piecewise record has no breakpoints")
         bp = [float(s) for s in fields["breakpoints"].split(",")]
         vals = [float(s) for s in fields["values"].split(",")] if fields.get("values") else []
         return build_w(bp, vals)

@@ -12,12 +12,13 @@ coupling iff Delta(gamma) lies in pi/2 + pi*Z.
 Step potentials are crossed with one closed-form kernel that takes the
 whole coupling grid as an array: on each constant piece it adds the exact
 number of half-turns and one exact remainder step, so its cost per piece
-does not grow with |gamma|.  Analytic potentials are integrated by one
-adaptive high-order ODE solve per Delta evaluation: its state holds the
-angles of both branches over all couplings (2n components), each branch
-walking from its truncation edge toward the origin in a shared variable,
-so the branches and the couplings share the steps.  The tolerances are
-divided by sqrt(2n).  When the slope d(Delta)/d(gamma) is asked for, the
+does not grow with |gamma|.  Asked for the slope d(Delta)/d(gamma), the
+same sweep carries d(theta)/d(gamma) in forward mode.  Analytic potentials
+are integrated by one adaptive high-order ODE solve per Delta evaluation:
+its state holds the angles of both branches over all couplings (2n
+components), each branch walking from its truncation edge toward the
+origin in a shared variable, so the branches and the couplings share the
+steps.  The tolerances are divided by sqrt(2n).  Asked for the slope, the
 same solve also carries the variational equation of each angle (2n more
 components).  Those components get an infinite absolute tolerance, so the
 error norm sees only the angles, and the tolerances are divided by
@@ -49,11 +50,12 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from ._dop853 import solve_ivp
-from .errors import NonPositiveK, StepUnderflow
+from .errors import StepUnderflow
 from .potential import (
     AnalyticPotential,
     PiecewiseConstantPotential,
     Potential,
+    _check_k,
     canonicalize,
     tail_l1,
 )
@@ -141,9 +143,10 @@ def _choose_truncation_bucketed(V: AnalyticPotential, gbound: float, tol: float)
 
 
 def _lift(W: PiecewiseConstantPotential, gammas: np.ndarray, theta: float,
-          x0: float, x1: float, k: float) -> np.ndarray:
+          x0: float, x1: float, k: float, slope: bool = False):
     """Lifted angle after crossing the pieces of W from x0 to x1 (either
-    direction), starting from theta, for every coupling in gammas at once.
+    direction), starting from theta, for every coupling in gammas at once;
+    with slope, the pair (angle, its derivative in gamma).
 
     On a piece of value v and signed length L the spinor propagator is
     c*I + s*M (closedform) with w^2 = (gamma*v)^2 - k^2.  If w^2 >= 0 the
@@ -152,10 +155,18 @@ def _lift(W: PiecewiseConstantPotential, gammas: np.ndarray, theta: float,
     exact step over the remainder adds an increment in sigma*[0, pi).  If
     w^2 < 0 the angle cannot pass a fixed point, so the increment lies in
     (-pi, pi); the propagator divided by cosh(wL) cannot overflow.  The
-    increment is atan2 of the cross and dot products of the unit spinor
-    with its image, written out so the image itself is never formed.
+    increment is atan2(y, x) of the cross and dot products of the unit
+    spinor with its image, written out so the image itself is never formed.
+
+    The slope is carried through each piece in forward mode: whole
+    half-turns add nothing and the increment adds (x*dy - y*dx)/(x^2 + y^2),
+    with dc/d(w^2) = -L*s/2 and ds/d(w^2) = (L*c - s)/(2w^2) for the c and s
+    the angle uses (the scale 1/cosh(wL) or (-1)^turns cancels from that
+    ratio).  Near w^2 = 0, a 6-term series in z = w^2*L^2 replaces the
+    cancelling (L*c - s)/w^2.
     """
     theta = np.full(gammas.shape, theta, dtype=float)
+    p = np.zeros(gammas.shape)
     for lo, hi, v in _piece_segments(W, x0, x1):
         L = hi - lo
         gv = gammas * v
@@ -167,12 +178,28 @@ def _lift(W: PiecewiseConstantPotential, gammas: np.ndarray, theta: float,
         wr = w * L - math.copysign(math.pi, L) * turns  # w times the remaining length
         c = np.where(osc, np.cos(wr), 1.0)
         s = np.where(osc, np.sin(wr), np.tanh(w * L)) / w
-        d = np.arctan2(s * (gv + k * np.cos(2.0 * theta)), c + s * k * np.sin(2.0 * theta))
+        cos2, sin2 = np.cos(2.0 * theta), np.sin(2.0 * theta)
+        y, x = s * (gv + k * cos2), c + s * k * sin2
+        d = np.arctan2(y, x)
         sigma = np.sign(gv) * math.copysign(1.0, L)
         # rounding can put a remainder increment near +-pi on the wrong side
         d = np.where(osc & (sigma * d < -math.pi / 2), d + math.tau * sigma, d)
+        if slope:
+            z = w2 * L * L
+            near = abs(z) < 1e-2
+            q = (L * c - s) / np.where(near, 1.0, w2)  # 2 ds/d(w^2)
+            if near.any():
+                zn = z[near]
+                series = -L**3 * (1 / 3 - zn * (1 / 30 - zn * (1 / 840 - zn * (
+                    1 / 45360 - zn * (1 / 3991680 - zn / 518918400)))))
+                # scaled like c and s: by 1/cosh(wL) where w^2 < 0 (|wL| < 0.1)
+                q[near] = series / np.where(osc[near], 1.0, np.cosh(w[near] * L))
+            dc, ds = -L * s * gv * v, q * gv * v
+            dy = ds * (gv + k * cos2) + s * (v - 2.0 * k * sin2 * p)
+            dx = dc + k * (ds * sin2 + 2.0 * s * cos2 * p)
+            p = p + (x * dy - y * dx) / (x * x + y * y)
         theta = theta + math.pi * sigma * turns + d
-    return theta
+    return (theta, p) if slope else theta
 
 
 def _walk_ode(theta0: Sequence[float], x0: Sequence[float], direction: Sequence[float],
@@ -250,21 +277,14 @@ def delta_v(V: Potential, gamma: float, k: float) -> float:
 # --- vectorized grid evaluation ----------------------------------------------
 
 
-def _check_k(k: float) -> None:
-    """The transverse frequency must be positive and finite."""
-    if not -math.inf < k < math.inf:
-        raise ValueError(f"k must be finite, got {k!r}")
-    if k <= 0:
-        raise NonPositiveK("k must be positive")
-
-
 def delta_grid(V: Potential, gammas: Sequence[float], k: float, slope: bool = False):
     """Delta on a coupling grid: one closed-form sweep over the pieces (step
     potentials) or one vector ODE solve holding both branches (analytic
-    potentials).  With slope (analytic potentials only), the pair (Delta,
-    d(Delta)/d(gamma)) from that one solve, run at half the relative
-    tolerance: Newton reads a refined root from one such evaluation, where
-    false position interpolated between two."""
+    potentials).  With slope, the pair (Delta, d(Delta)/d(gamma)) from that
+    same sweep or solve: the sweep carries the slope in forward mode, and
+    the solve carries the variational equation at half the relative
+    tolerance (Newton reads a refined root from one such evaluation, where
+    false position interpolated between two)."""
     _check_k(k)
     g = np.asarray(gammas, dtype=float)
     if isinstance(V, AnalyticPotential):
@@ -276,14 +296,10 @@ def delta_grid(V: Potential, gammas: Sequence[float], k: float, slope: bool = Fa
             return -math.pi / 2 - walk[0] + walk[1]
         (plus, minus), (dplus, dminus) = walk
         return -math.pi / 2 - plus + minus, dminus - dplus
-    if slope:
-        raise ValueError("the slope of Delta comes from the ODE path: analytic potentials only")
 
-    hull = V.support_hull()
-    if hull is None or g.size == 0:
-        return np.zeros(g.size)
-    a, b = hull
-    return -math.pi / 4 - _lift(canonicalize(V), g, -math.pi / 4, b, a, k)
+    a, b = V.support_hull() or (0.0, 0.0)  # no support: no piece to cross, Delta = 0
+    lift = _lift(canonicalize(V), g, -math.pi / 4, b, a, k, slope)
+    return (-math.pi / 4 - lift[0], -lift[1]) if slope else -math.pi / 4 - lift
 
 
 def delta_curve(V: Potential, gammas: Iterable[float], k: float) -> DeltaCurve:
@@ -308,42 +324,7 @@ def is_eigenvalue(V: Potential, gamma: float, k: float, tol: float = 1e-9) -> Ei
 # --- derivative in the coupling ----------------------------------------------
 
 
-def _derivative_half(V, theta0: float, x0: float, x1: float, gamma: float, k: float):
-    """Integrate (theta, S, I) from x0 to x1 where S tracks the running
-    integral of sin(2 theta) back to x0 and I the weighted potential integral;
-    returns (theta(x1), S(x1), I(x1)).  Orientation-agnostic; used on the
-    pieces of step potentials."""
-
-    def rhs(x, y):
-        th, S, _ = y
-        return [
-            gamma * V(x) + k * math.cos(2.0 * th),
-            -math.sin(2.0 * th),
-            -math.exp(-2.0 * k * S) * V(x),
-        ]
-
-    th, S, I = solve_ivp(rhs, (x0, x1), [theta0, 0.0, 0.0], 1e-11, 1e-13)[1]
-    return float(th), float(S), float(I)
-
-
 def delta_derivative(V: Potential, gamma: float, k: float) -> float:
-    """d(Delta)/d(gamma) (strictly positive for nonnegative nontrivial V):
-    for analytic potentials from the variational equation of one Delta
-    solve; for step potentials via the exponential-weighted potential
-    integral along the decaying branch, piece by piece."""
-    _check_k(k)
-    if not isinstance(V, PiecewiseConstantPotential):
-        return float(delta_grid(V, [gamma], k, slope=True)[1][0])
-    hull = V.support_hull()
-    if hull is None:
-        return 0.0
-    a, b = hull
-    W = canonicalize(V)
-    th, S, acc = -math.pi / 4, 0.0, 0.0
-    for x0, x1, v in _piece_segments(W, b, a):  # descending traversal
-        th_n, dS, dI = _derivative_half(lambda _x, _v=v: _v, th, x0, x1, gamma, k)
-        # chain the running S offset into the new segment's I contribution
-        acc += math.exp(-2.0 * k * S) * dI
-        S += dS
-        th = th_n
-    return math.exp(2.0 * k * S) * acc
+    """d(Delta)/d(gamma) (strictly positive for nonnegative nontrivial V),
+    from the same sweep or solve as Delta (see delta_grid)."""
+    return float(delta_grid(V, [gamma], k, slope=True)[1][0])

@@ -40,10 +40,11 @@ from .potential import (
     AnalyticPotential,
     PiecewiseConstantPotential,
     Potential,
+    _check_k,
     l1_norm,
     tail_l1,
 )
-from .prufer import _check_k, delta_grid, delta_v  # noqa: F401  (delta_v stays importable)
+from .prufer import delta_grid, delta_v  # noqa: F401  (delta_v stays importable)
 
 __all__ = [
     "Root",
@@ -278,7 +279,8 @@ def real_spectrum(V: Potential, k: float, R: float, tol: float = 1e-9,
     as the independent cross-check pipeline.  Both share the scan and the
     batched refinement.  A root's residual is its distance to the level
     over the slope: from the last Newton step on analytic potentials,
-    otherwise from a central difference at the root.
+    otherwise from the kernel's own slope at the root (forward mode for
+    Delta, the complex step D(gamma + 1e-20i) for the determinant).
     """
     _check_k(k)
     if not 0 < R < math.inf:
@@ -290,13 +292,20 @@ def real_spectrum(V: Potential, k: float, R: float, tol: float = 1e-9,
 
     if method == "delta":
         values = lambda g: delta_grid(V, g, k)
+        with_slope = lambda g: delta_grid(V, g, k, slope=True)
         brackets, slope_floor = _delta_brackets, 1e-3
-        newton = isinstance(V, AnalyticPotential)  # its ODE solve also gives the slope
+        # on step potentials Newton moved roots and raised their residuals
+        newton = isinstance(V, AnalyticPotential)
     elif method == "determinant":
         if not isinstance(V, PiecewiseConstantPotential):
             raise TrivialPotential("determinant pipeline needs a step potential")
         # the closed-form matching determinant: shares no kernel with Delta
         values = lambda g: determinant(V, g, k).real
+
+        def with_slope(g):
+            # D is real on the real axis, so D(g + ih) = D(g) + ih*D'(g) + O(h^2)
+            d = determinant(V, g + 1e-20j, k)
+            return d.real, d.imag / 1e-20
         brackets, slope_floor, newton = _sign_brackets, 1e-30, False
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -318,7 +327,7 @@ def real_spectrum(V: Potential, k: float, R: float, tol: float = 1e-9,
                 cells, levels = found
                 if newton:
                     def f(idx, x):
-                        d, slope = delta_grid(V, x, k, slope=True)
+                        d, slope = with_slope(x)
                         return d - levels[idx], slope
 
                     # start from the inverse cubic through the four scan
@@ -330,13 +339,11 @@ def real_spectrum(V: Potential, k: float, R: float, tol: float = 1e-9,
                 g, resid = _refine(f, fine[cells], fine[cells + 1], fvals[cells] - levels,
                                    fvals[cells + 1] - levels, min(tol, 1e-12), tol, guess)
                 # certificate where no Newton step gave one: distance to the
-                # level over a central-difference slope
+                # level over the kernel's own slope
                 need = np.isnan(resid)
                 if need.any():
-                    h, gn = 1e-6, g[need]
-                    minus, at, plus = np.split(values(np.concatenate([gn - h, gn, gn + h])), 3)
-                    resid[need] = abs(at - levels[need]) / np.maximum(abs(plus - minus) / (2 * h),
-                                                                      slope_floor)
+                    at, slope = with_slope(g[need])
+                    resid[need] = abs(at - levels[need]) / np.maximum(abs(slope), slope_floor)
                 roots = [Root(complex(x), float(r), f"{method}-bisect") for x, r in zip(g, resid)]
                 return GammaSpectrum(_merge_sorted(roots), (0.0, R), k)
         step *= 0.5

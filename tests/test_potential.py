@@ -8,6 +8,7 @@ from zeromodes.errors import (
     InfeasibleTriple,
     LengthMismatch,
     NonMonotoneBreakpoints,
+    NonPositiveK,
     NotOneGap,
     TrivialPotential,
     ZeroIntegral,
@@ -177,6 +178,16 @@ def test_synthesize_infeasible():
         synthesize_one_gap(-1.0, 2.0, 4.0)
 
 
+@pytest.mark.parametrize("k, error", [(math.inf, ValueError), (math.nan, ValueError),
+                                      (0.0, NonPositiveK), (-1.0, NonPositiveK)])
+def test_one_gap_k_must_be_positive_and_finite(k, error):
+    # tanh(inf * gap) = 1 would put alpha outside (0, 1)
+    with pytest.raises(error):
+        one_gap_params(gap_pair(1.0, 2.0), k)
+    with pytest.raises(error):
+        synthesize_one_gap(1.0, 1.5, 3.0, k=k)
+
+
 def test_hrp_potential():
     V = hrp_potential()
     assert V(0.0) == -1.0
@@ -245,3 +256,8 @@ def test_record_round_trip_bit_exact():
     assert H(0.7) == hrp_potential()(0.7)
     with pytest.raises(ValueError):
         from_record("kind=analytic\nname=unheard_of\n")
+
+
+def test_piecewise_record_without_breakpoints():
+    with pytest.raises(ValueError, match="breakpoints"):
+        from_record("kind=piecewise\nvalues=1.0\n")

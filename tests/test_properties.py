@@ -3,10 +3,10 @@
 import math
 from itertools import accumulate
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from zeromodes.potential import build_w, l1_norm, mirror, negate, translate
-from zeromodes.prufer import delta_v, tail_angle_bound
+from zeromodes.prufer import delta_derivative, delta_v, tail_angle_bound
 from zeromodes.spectra import real_spectrum
 from conftest import lift_angle, ode_angle
 
@@ -49,6 +49,14 @@ def test_delta_within_tail_bound(V, gamma):
 @given(step_potentials(), couplings, st.floats(-10.0, 10.0))
 def test_delta_invariant_under_translation(V, gamma, shift):
     assert abs(delta_v(translate(V, shift), gamma, 1.0) - delta_v(V, gamma, 1.0)) < 1e-9
+
+
+@PROPERTY
+@given(step_potentials(nonnegative=True), couplings, st.floats(0.5, 2.0))
+def test_single_sign_slope_is_positive(V, gamma, k):
+    # for V >= 0, d(Delta)/d(gamma) is a positively weighted integral of V
+    assume(any(v > 0.0 for v in V.values))
+    assert delta_derivative(V, gamma, k) > 0.0
 
 
 @PROPERTY

@@ -172,9 +172,46 @@ def test_variational_slope_matches_central_difference(sech_well, gamma):
     assert delta_derivative(sech_well, gamma, 1.0) == slope[0]
 
 
-def test_slope_is_for_analytic_potentials_only():
-    with pytest.raises(ValueError, match="analytic"):
-        delta_grid(square_bump(), [1.0], 1.0, slope=True)
+def _richardson_slope(V, gamma, k, h=1e-3):
+    """d(Delta)/d(gamma) from central differences at h and h/2, extrapolated."""
+    minus, plus, minus2, plus2 = delta_grid(V, [gamma - h, gamma + h, gamma - h / 2, gamma + h / 2], k)
+    wide, narrow = (plus - minus) / (2 * h), (plus2 - minus2) / h
+    return (4 * narrow - wide) / 3
+
+
+# a piece of length 2 and value 1 at k = 1 has z = (gamma^2 - 1) * 4 = w^2 L^2;
+# the slope switches to a series at |z| = 1e-2
+_SLOPE_CASES = [
+    (square_bump(), 1.0, 1.0),  # gamma*v = k exactly
+    (square_bump(), -1.0, 1.0),  # gamma*v = -k exactly
+    (square_bump(), math.sqrt(1 + 0.5e-2 / 4), 1.0),  # z = 5e-3, inside the switch
+    (square_bump(), math.sqrt(1 + 2e-2 / 4), 1.0),  # z = 2e-2, outside
+    (square_bump(), math.sqrt(1 - 0.5e-2 / 4), 1.0),  # z = -5e-3
+    (square_bump(), math.sqrt(1 - 2e-2 / 4), 1.0),  # z = -2e-2
+    (build_w([0.0, 1.0, 2.0], [2.0, 1.0]), 3.0, 1.0),
+    (gap_pair(1.0, 2.0), 3.0, 1.0),  # gap pieces
+    (gap_pair(1.0, 2.0), -0.4, 1.7),
+    (twin_gap(1.0), 7.3, 0.8),
+    (square_bump(), 1000.3, 1.0),
+    (gap_pair(1.0, 2.0), 999.7, 1.0),
+]
+
+
+@pytest.mark.parametrize("V, gamma, k", _SLOPE_CASES)
+def test_step_slope_matches_richardson_difference(V, gamma, k):
+    # the forward-mode slope of the closed-form sweep against its own values
+    delta, slope = delta_grid(V, [gamma], k, slope=True)
+    assert delta[0] == delta_v(V, gamma, k)
+    assert abs(slope[0] - _richardson_slope(V, gamma, k)) < 1e-8 * abs(slope[0])
+    assert delta_derivative(V, gamma, k) == slope[0]
+
+
+def test_step_slope_on_the_series_switch():
+    # z = w^2 L^2 = -1.0e-4: the reference is mpmath's derivative of the
+    # one-piece closed form at 40 digits
+    V = build_w([-1.6013819240241327, 0.7081039543194274], [2.0])
+    d = delta_derivative(V, 0.721916444547119, 1.4438393817365156)
+    assert abs(d - 1.8142530768679532) < 5e-15 * d
 
 
 def test_delta_derivative_zero_potential():

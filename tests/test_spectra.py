@@ -521,6 +521,28 @@ def test_phase_grid_validation():
         phase_grid(square_bump(), 1.0, (0.0, 1.0, 0.0, 1.0), 1, 8)
 
 
+def test_determinant_certificate_is_value_over_slope():
+    # the complex-step certificate is |D|/|D'|, with D' from the Frechet
+    # derivatives of the piece propagators exp(L*M), M = [[0, k - gv], [k + gv, 0]]
+    from scipy.linalg import expm_frechet
+
+    V, k = gap_pair(1.0, 2.0), 1.0
+    a = V.breakpoints
+    sp = real_spectrum(V, k, 25.0, tol=1e-10, method="determinant")
+    assert len(sp.roots) > 5
+    for r in sp.roots:
+        g = r.value.real
+        P, dP = np.eye(2), np.zeros((2, 2))
+        for j, v in enumerate(V.values):
+            L = a[j + 1] - a[j]
+            E, dE = expm_frechet(L * np.array([[0.0, k - g * v], [k + g * v, 0.0]]),
+                                 L * np.array([[0.0, -v], [v, 0.0]]))
+            P, dP = E @ P, dE @ P + E @ dP
+        slope = dP.sum()  # (1, 1) . dP . (1, 1)
+        D = spectra.determinant(V, g, k).real
+        assert r.residual == pytest.approx(abs(D) / abs(slope), rel=1e-9, abs=1e-300)
+
+
 def test_residual_shrinks_at_higher_precision():
     # re-evaluating the located roots at twice the working precision must
     # confirm them: the high-precision Newton correction of the equivalent
