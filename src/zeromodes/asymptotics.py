@@ -218,6 +218,7 @@ def _is_antisymmetric(V: PiecewiseConstantPotential) -> bool:
 
 def predict(V: PiecewiseConstantPotential, k: float) -> DensityPrediction:
     """Route a step potential to its sharpest applicable counting law."""
+    pot._check_k(k)
     total = pot.integral(V)
     absnorm = pot.l1_norm(V)
     if absnorm == 0.0:

@@ -50,6 +50,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from ._dop853 import solve_ivp
+from .closedform import cos_sinc
 from .errors import StepUnderflow
 from .potential import (
     AnalyticPotential,
@@ -162,8 +163,8 @@ def _lift(W: PiecewiseConstantPotential, gammas: np.ndarray, theta: float,
     half-turns add nothing and the increment adds (x*dy - y*dx)/(x^2 + y^2),
     with dc/d(w^2) = -L*s/2 and ds/d(w^2) = (L*c - s)/(2w^2) for the c and s
     the angle uses (the scale 1/cosh(wL) or (-1)^turns cancels from that
-    ratio).  Near w^2 = 0, a 6-term series in z = w^2*L^2 replaces the
-    cancelling (L*c - s)/w^2.
+    ratio).  Near w^2 = 0, cos_sinc's series replaces the cancelling
+    (L*c - s)/w^2.
     """
     theta = np.full(gammas.shape, theta, dtype=float)
     p = np.zeros(gammas.shape)
@@ -185,15 +186,11 @@ def _lift(W: PiecewiseConstantPotential, gammas: np.ndarray, theta: float,
         # rounding can put a remainder increment near +-pi on the wrong side
         d = np.where(osc & (sigma * d < -math.pi / 2), d + math.tau * sigma, d)
         if slope:
-            z = w2 * L * L
-            near = abs(z) < 1e-2
+            near = abs(w2 * L * L) < 1e-2
             q = (L * c - s) / np.where(near, 1.0, w2)  # 2 ds/d(w^2)
             if near.any():
-                zn = z[near]
-                series = -L**3 * (1 / 3 - zn * (1 / 30 - zn * (1 / 840 - zn * (
-                    1 / 45360 - zn * (1 / 3991680 - zn / 518918400)))))
-                # scaled like c and s: by 1/cosh(wL) where w^2 < 0 (|wL| < 0.1)
-                q[near] = series / np.where(osc[near], 1.0, np.cosh(w[near] * L))
+                # cos_sinc's series, scaled like c and s: by 1/cosh(wL) where w^2 < 0 (|wL| < 0.1)
+                q[near] = cos_sinc(w2[near], L, True)[2].real / np.where(osc[near], 1.0, np.cosh(w[near] * L))
             dc, ds = -L * s * gv * v, q * gv * v
             dy = ds * (gv + k * cos2) + s * (v - 2.0 * k * sin2 * p)
             dx = dc + k * (ds * sin2 + 2.0 * s * cos2 * p)

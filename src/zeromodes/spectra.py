@@ -15,7 +15,8 @@ fallback.  trigzeros.scan_zeros reuses the same refiner for its certified
 single-zero cells, and potential.synthesize_one_gap for its one bracket.
 Complex couplings of step potentials are located by the phase winding of
 the matching determinant around rectangles, a whole level of boxes per
-kernel call with no cache between calls, then by Newton batched likewise.
+kernel call with no cache between calls, then by Newton batched likewise,
+with D and its slope from one sweep at one point per start.
 """
 
 from __future__ import annotations
@@ -279,8 +280,8 @@ def real_spectrum(V: Potential, k: float, R: float, tol: float = 1e-9,
     as the independent cross-check pipeline.  Both share the scan and the
     batched refinement.  A root's residual is its distance to the level
     over the slope: from the last Newton step on analytic potentials,
-    otherwise from the kernel's own slope at the root (forward mode for
-    Delta, the complex step D(gamma + 1e-20i) for the determinant).
+    otherwise from the kernel's own slope at the root, carried in forward
+    mode by the same sweep as Delta or D.
     """
     _check_k(k)
     if not 0 < R < math.inf:
@@ -301,11 +302,7 @@ def real_spectrum(V: Potential, k: float, R: float, tol: float = 1e-9,
             raise TrivialPotential("determinant pipeline needs a step potential")
         # the closed-form matching determinant: shares no kernel with Delta
         values = lambda g: determinant(V, g, k).real
-
-        def with_slope(g):
-            # D is real on the real axis, so D(g + ih) = D(g) + ih*D'(g) + O(h^2)
-            d = determinant(V, g + 1e-20j, k)
-            return d.real, d.imag / 1e-20
+        with_slope = lambda g: tuple(x.real for x in determinant(V, g, k, slope=True))
         brackets, slope_floor, newton = _sign_brackets, 1e-30, False
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -442,34 +439,31 @@ def _windings(fun: Callable[[np.ndarray], np.ndarray], rects: list,
 
 def _newton_polish(fun, z, tol: float,
                    region: tuple[float, float, float, float]) -> tuple[np.ndarray, np.ndarray]:
-    """Newton from every start point of z at once, with a central-difference
-    derivative: each iteration makes one call to fun, on z - h, z and z + h
-    of every start still iterating.  Returns the arrays (roots, residuals).
-    A residual is the size of one extra step after convergence, or inf when
-    an iterate leaves region (outside the traced contour D may overflow).
-    The updates run in Python complex arithmetic, start by start."""
+    """Newton from every start point of z at once: each iteration makes one
+    call fun(points, slope=True), which gives D and D' at one point per
+    start still iterating.  Returns the arrays (roots, residuals).  A
+    residual is the size of one extra step after convergence, or inf when
+    an iterate leaves region (outside the traced contour D may overflow) or
+    meets D' = 0 before converging."""
     x0, x1, y0, y1 = region
-    h, zs = 1e-7, np.atleast_1d(z).tolist()
-    step, resid, converged = [math.inf] * len(zs), [math.inf] * len(zs), [False] * len(zs)
-    live = list(range(len(zs)))
+    z = np.array(z, dtype=complex, ndmin=1)
+    step, resid = np.zeros(z.size, dtype=complex), np.full(z.size, math.inf)
+    converged, live = np.zeros(z.size, dtype=bool), np.arange(z.size)
     for _ in range(81):
-        if not live:
+        if live.size == 0:
             break
-        f = fun(np.array([p for i in live for p in (zs[i] - h, zs[i], zs[i] + h)])).tolist()
-        still = []
-        for i, fm, f0, fp in zip(live, f[::3], f[1::3], f[2::3]):
-            d = (fp - fm) / (2 * h)
-            if d == 0 and not converged[i]:
-                continue
-            step[i] = f0 / d if d != 0 else step[i]
-            zs[i] = zs[i] - step[i]
-            if converged[i]:  # the extra step is the certificate
-                resid[i] = abs(step[i])
-            elif x0 <= zs[i].real <= x1 and y0 <= zs[i].imag <= y1:
-                converged[i] = abs(step[i]) < 0.25 * tol
-                still.append(i)
-        live = still
-    return np.array(zs), np.array(resid)
+        f, d = fun(z[live], slope=True)
+        ok = d != 0
+        step[live[ok]] = f[ok] / d[ok]  # at D' = 0 a converged start repeats its last step
+        live = live[ok | converged[live]]
+        z[live] -= step[live]
+        done = converged[live]  # the extra step is the certificate
+        resid[live[done]] = abs(step[live[done]])
+        live = live[~done]
+        zl = z[live]
+        live = live[(x0 <= zl.real) & (zl.real <= x1) & (y0 <= zl.imag) & (zl.imag <= y1)]
+        converged[live] = abs(step[live]) < 0.25 * tol
+    return z, resid
 
 
 def _subdivide(fun: Callable[[np.ndarray], np.ndarray], rect, tol: float, h0: float):
@@ -562,7 +556,7 @@ def complex_spectrum(V: PiecewiseConstantPotential, k: float,
     if not 0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     x0, x1, y0, y1 = _check_rectangle(rectangle)
-    fun = lambda z: determinant(V, z, k)
+    fun = lambda z, slope=False: determinant(V, z, k, slope)
     h0 = min(1.0, _scan_step(V, k))
 
     nudge = 0.0
@@ -649,8 +643,7 @@ def phase_grid(V: PiecewiseConstantPotential, k: float,
         raise ValueError("nx and ny must be >= 2")
     grid = PhaseGrid(_check_rectangle(rectangle), nx, ny, np.empty((ny, nx)))
     xs, ys = grid.cell_centers()
-    # blocks of whole rows keep the peak memory flat; from 16384 points NumPy
-    # elides temporaries and moves last bits, so a block has at most 8192
+    # blocks of whole rows, at most 8192 points, keep the peak memory flat
     rows = max(1, 8192 // nx)
     for j in range(0, ny, rows):
         d = determinant(V, (xs + 1j * ys[j:j + rows, None]).ravel(), k)

@@ -1,10 +1,12 @@
-"""Shared potential families, phase walks and the sampled trig-zero scan used
-across the test suite."""
+"""Shared potential families, phase walks, the Frechet-derivative reference
+for the matching determinant and the sampled trig-zero scan used across the
+test suite."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm_frechet
 from scipy.optimize import brentq, minimize_scalar
 
 from zeromodes.errors import UnresolvedCell
@@ -42,6 +44,21 @@ def twin_gap(g: float):
         return build_w([-2.0, -1.0, 1.0, 2.0], [-1.0, 1.0, -1.0])
     return build_w([-g - 2.0, -g - 1.0, -1.0, 1.0, g + 1.0, g + 2.0],
                    [-1.0, 0.0, 1.0, 0.0, -1.0])
+
+
+def frechet_chain(V, gamma, k):
+    """D(gamma), dD/dgamma and the size of the spinor's slope, from the
+    Frechet derivatives of the piece propagators exp(L*M) across the
+    support, with no rescale."""
+    V = canonicalize(V)
+    p, dp = np.ones(2, dtype=complex), np.zeros(2, dtype=complex)
+    a = V.breakpoints
+    for j, v in enumerate(V.values):
+        L = a[j + 1] - a[j]
+        E, dE = expm_frechet(L * np.array([[0.0, k - gamma * v], [k + gamma * v, 0.0]]),
+                             L * np.array([[0.0, -v], [v, 0.0]], dtype=complex))
+        p, dp = E @ p, dE @ p + E @ dp
+    return p.sum(), dp.sum(), np.abs(dp).sum()
 
 
 def lift_angle(V, theta, x0, x1, gamma, k):

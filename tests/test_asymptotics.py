@@ -17,6 +17,7 @@ from zeromodes.asymptotics import (
 from zeromodes.errors import (
     CriticalProduct,
     InsufficientRoots,
+    NonPositiveK,
     NotCoprime,
     OutOfDomain,
     TrivialPotential,
@@ -151,6 +152,15 @@ def test_predict_routing():
 
     with pytest.raises(TrivialPotential):
         predict(build_w([0.0, 1.0], [0.0]), 1.0)
+
+
+@pytest.mark.parametrize("V", [build_w([-1.0, 0.0, 2.0], [-1.0, 1.0]), square_bump()])
+def test_predict_k_must_be_positive_and_finite(V):
+    # the no-gap and single-sign routes never read k, yet k is checked first
+    for k, err in ((math.inf, ValueError), (math.nan, ValueError),
+                   (0.0, NonPositiveK), (-1.0, NonPositiveK)):
+        with pytest.raises(err):
+            predict(V, k)
 
 
 def test_prediction_between_universal_bounds():

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
@@ -14,7 +15,7 @@ from zeromodes.closedform import (
 )
 from zeromodes.errors import TrivialPotential
 from zeromodes.potential import build_w, canonicalize
-from conftest import antisymmetric_pair, square_bump
+from conftest import antisymmetric_pair, frechet_chain, square_bump
 
 
 def bump_oracle(g: float) -> float:
@@ -294,3 +295,73 @@ def test_zero_set_invariant_under_k_flip():
           if v2[i] * v2[i + 1] < 0]
     assert len(r1) == len(r2)
     assert max(abs(a - b) for a, b in zip(r1, r2)) < 1e-10
+
+
+@st.composite
+def slope_cases(draw):
+    """(potential, coupling, k): up to three nonzero pieces, often with a gap
+    between two, and couplings that are generic, sit at gamma*v = +-k
+    exactly on the first piece, or put w^2 L^2 there on either side of the
+    series switch at |z| = 1e-2."""
+    n = draw(st.integers(1, 3))
+    values = draw(st.lists(st.sampled_from([0.5, -1.0, 2.0]) | st.floats(0.1, 2.0) | st.floats(-2.0, -0.1),
+                           min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):
+        values.insert(draw(st.integers(1, n - 1)), 0.0)  # a gap between two pieces
+    lengths = draw(st.lists(st.floats(0.05, 2.0), min_size=len(values), max_size=len(values)))
+    kind = draw(st.sampled_from(["generic", "edge", "series"]))
+    if kind == "edge":
+        values[0] = draw(st.sampled_from([0.5, -1.0, 2.0]))  # k / v * v == k
+    v, L, k = values[0], lengths[0], draw(st.sampled_from([1.0, 0.7, 1.6]))
+    if kind == "generic":
+        gamma = complex(draw(st.floats(-30.0, 30.0)), draw(st.floats(-2.0, 2.0)))
+    elif kind == "edge":
+        gamma = complex(draw(st.sampled_from([1.0, -1.0])) * k / v)
+    else:
+        decade = st.sampled_from([-12.0, -8.5, -5.0, -2.1, -1.9]) | st.floats(-12.0, -1.0)
+        z = 10.0 ** draw(decade) * cmath.exp(1j * draw(st.floats(-math.pi, math.pi)))
+        gamma = draw(st.sampled_from([1.0, -1.0])) * cmath.sqrt(k * k + z / (L * L)) / v
+    V = build_w(np.concatenate([[0.0], np.cumsum(lengths)]), values)
+    return V, gamma, k
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(slope_cases())
+def test_slope_matches_the_frechet_chain(case):
+    # forward mode against the Frechet derivative of every propagator; a
+    # scalar coupling gives complex values, bit for bit those of an array
+    V, gamma, k = case
+    d, slope = determinant(V, gamma, k, slope=True)
+    assert type(d) is complex and type(slope) is complex
+    _, dD, size = frechet_chain(V, gamma, k)
+    assert abs(slope - dD) <= 1e-9 * size
+    arr_d, arr_slope = determinant(V, np.array([gamma, 3.0 + 0.5j]), k, slope=True)
+    assert (arr_d[0], arr_slope[0]) == (d, slope) and d == determinant(V, gamma, k)
+
+
+def test_slope_survives_the_rescale():
+    # across a gap of 500 at k = 1 the spinor grows by e^500 > 1e200 and is
+    # divided by its size, slope included: D/D' is the unscaled ratio
+    V = build_w([-1.0, 0.0, 500.0, 501.0], [1.0, 0.0, -1.0])
+    zs = np.array([0.3, 2.0 + 0.5j, 7.5 - 1.0j, 1.0])
+    d, slope = determinant(V, zs, 1.0, slope=True)
+    for z, ratio in zip(zs, d / slope):
+        D, dD, _ = frechet_chain(V, z, 1.0)
+        assert abs(D) > 1e200
+        assert abs(ratio - D / dD) <= 1e-9 * abs(D / dD)
+
+
+def test_values_do_not_depend_on_the_call_size():
+    # from 16 384 points NumPy reuses temporaries in place: one call on the
+    # 480 x 160 phase grid of the gapped pair equals its 4 800-point blocks
+    # bit for bit, values and slopes
+    V = antisymmetric_pair(1.0)
+    xs = (np.arange(480) + 0.5) * 200.0 / 480
+    ys = -4.0 + (np.arange(160) + 0.5) * 8.0 / 160
+    zs = (xs + 1j * ys[:, None]).ravel()
+    whole = determinant(V, zs, 1.0, slope=True)
+    blocks = [determinant(V, zs[i:i + 4800], 1.0, slope=True) for i in range(0, zs.size, 4800)]
+    for j in range(2):
+        parts = np.concatenate([b[j] for b in blocks])
+        assert np.array_equal(whole[j].view(np.uint64), parts.view(np.uint64))
+    assert np.array_equal(determinant(V, zs, 1.0).view(np.uint64), whole[0].view(np.uint64))
