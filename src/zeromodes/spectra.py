@@ -13,10 +13,13 @@ gives Delta and its slope, the refiner starts from an inverse cubic
 through the scan nodes and takes Newton steps, with false position as the
 fallback.  trigzeros.scan_zeros reuses the same refiner for its certified
 single-zero cells, and potential.synthesize_one_gap for its one bracket.
-Complex couplings of step potentials are located by the phase winding of
-the matching determinant around rectangles, a whole level of boxes per
-kernel call with no cache between calls, then by Newton batched likewise,
-with D and its slope from one sweep at one point per start.
+Each bracket holds one crossing, so real roots are never merged.  Complex
+couplings of step potentials are located by the phase winding of the
+matching determinant around rectangles: one flat frontier of boxes per
+level, all split at one fraction, a whole level per kernel call with no
+cache between calls, then Newton batched likewise, with D and its slope
+from one sweep at one point per start.  A contour below the top that meets
+a root restarts the whole search at the next split fraction.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ __all__ = [
     "phase_grid",
 ]
 
-_SEPARATION_FLOOR = 1e-7  # closer roots are merged as duplicates
+_SEPARATION_FLOOR = 1e-7  # closer complex roots, from two boxes' Newton runs, are one root
 _MAX_SCAN_CELLS = 2**20  # a scan that needs a finer grid fails instead
 
 
@@ -281,7 +284,8 @@ def real_spectrum(V: Potential, k: float, R: float, tol: float = 1e-9,
     batched refinement.  A root's residual is its distance to the level
     over the slope: from the last Newton step on analytic potentials,
     otherwise from the kernel's own slope at the root, carried in forward
-    mode by the same sweep as Delta or D.
+    mode by the same sweep as Delta or D.  Each bracket holds one crossing
+    or sign change, so roots are not merged, however close they lie.
     """
     _check_k(k)
     if not 0 < R < math.inf:
@@ -341,8 +345,9 @@ def real_spectrum(V: Potential, k: float, R: float, tol: float = 1e-9,
                 if need.any():
                     at, slope = with_slope(g[need])
                     resid[need] = abs(at - levels[need]) / np.maximum(abs(slope), slope_floor)
-                roots = [Root(complex(x), float(r), f"{method}-bisect") for x, r in zip(g, resid)]
-                return GammaSpectrum(_merge_sorted(roots), (0.0, R), k)
+                roots = tuple(Root(complex(x), r, f"{method}-bisect")
+                              for x, r in sorted(zip(g.tolist(), resid.tolist())))
+                return GammaSpectrum(roots, (0.0, R), k)
         step *= 0.5
     raise ScanStepTooCoarse(f"scan failed to stabilise down to step {step:.3e}")
 
@@ -466,76 +471,52 @@ def _newton_polish(fun, z, tol: float,
     return z, resid
 
 
-def _subdivide(fun: Callable[[np.ndarray], np.ndarray], rect, tol: float, h0: float):
+def _subdivide(fun: Callable[[np.ndarray], np.ndarray], rect, tol: float, h0: float,
+               frac: float):
     """(roots inside rect as (z, residual, multiplicity), winding of rect),
-    searched one level of boxes at a time.
-
-    A box is (rect, depth, quadrisection that made it); a quadrisection is
-    [box it splits, split fraction index, alive].  A box whose contour fails
-    kills its quadrisection with every box and root below it, and the four
-    children are queued again at the next fraction; after the third, the
-    failure moves up to the parent quadrisection, and at the top it is
-    raised."""
-    def alive(box):
-        q = box[2]
-        while q is not None and q[2]:
-            q = q[0][2]
-        return q is None
-
-    def split(box, i):
-        (x0, x1, y0, y1), q = box[0], [box, i, True]
-        frac = (0.5, 0.5 + 0.013, 0.5 - 0.029)[i]  # offsets dodge roots sitting on a midline
-        xm, ym = x0 + frac * (x1 - x0), y0 + frac * (y1 - y0)
-        nxt.extend(((a, b, c, d), box[1] + 1, q) for c, d in ((y0, ym), (ym, y1))
-                   for a, b in ((x0, xm), (xm, x1)))
-
-    def fail(box, err):
-        while alive(box):
-            q = box[2]
-            if q is None:
-                raise err
-            q[2] = False
-            if q[1] < 2:
-                return split(q[0], q[1] + 1)
-            box, err = q[0], WindingMismatch(
-                f"subdivision could not reconcile windings inside {q[0][0]}")
-
-    frontier, found, top = [(rect, 0, None)], [], None
+    searched one level of boxes (x0, x1, y0, y1) at a time, each box that is
+    split quadrisected at the fraction frac of its sides.  A failing top
+    contour raises; a failing contour below it returns None, and the caller
+    searches again with other split lines."""
+    frontier, found, top, depth = [rect], [], None, 0
     while frontier:
-        nxt = []
-        winds, errors, (lo, hi) = _windings(fun, [box[0] for box in frontier], h0)
-        for box, err in zip(frontier, errors):
-            if err is not None:
-                fail(box, err)
+        winds, errors, (lo, hi) = _windings(fun, frontier, h0)
         if top is None:
+            if errors[0] is not None:
+                raise errors[0]
             top = winds[0]
             if lo < 1e-12 * hi:  # on the top contour
                 raise BoundaryRoot("determinant nearly vanishes on the boundary")
-        polish = []
-        for box, w, err in zip(frontier, winds, errors):
-            if err is not None or w == 0 or not alive(box):
+        elif any(err is not None for err in errors):
+            return None
+        split, polish = [], []
+        for box, w in zip(frontier, winds):
+            if w == 0:
                 continue
-            (x0, x1, y0, y1), depth, _ = box
+            x0, x1, y0, y1 = box
             diam = math.hypot(x1 - x0, y1 - y0)
             if w == 1 or diam < 1e-3 or depth > 60:
                 polish.append((box, w, diam, complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))))
             else:
-                split(box, 0)
+                split.append(box)
         zs, resids = _newton_polish(fun, np.array([p[3] for p in polish]), tol, rect)
         for (box, w, diam, zc), z, resid in zip(polish, zs.tolist(), resids.tolist()):
-            x0, x1, y0, y1 = box[0]
+            x0, x1, y0, y1 = box
             # a box that winds once holds exactly one root: Newton must land
             # in it, to within tol (a root on a split line is on both sides)
             near = ((x0 - tol <= z.real <= x1 + tol and y0 - tol <= z.imag <= y1 + tol)
                     if w == 1 else abs(z - zc) <= 10 * diam)
             if resid > tol or not near:
                 if diam > 1e-9:  # keep squeezing the box around a stubborn root
-                    split(box, 0)
+                    split.append(box)
                     continue
                 z, resid = zc, diam
-            found.append((z, resid, w, box))
-        frontier = [box for box in nxt if alive(box)]
-    return [(z, resid, w) for z, resid, w, box in found if alive(box)], top
+            found.append((z, resid, w))
+        frontier = [(a, b, c, d) for x0, x1, y0, y1 in split
+                    for xm, ym in [(x0 + frac * (x1 - x0), y0 + frac * (y1 - y0))]
+                    for c, d in ((y0, ym), (ym, y1)) for a, b in ((x0, xm), (xm, x1))]
+        depth += 1
+    return found, top
 
 
 def complex_spectrum(V: PiecewiseConstantPotential, k: float,
@@ -547,10 +528,13 @@ def complex_spectrum(V: PiecewiseConstantPotential, k: float,
     adaptive argument subdivision, one level of boxes per kernel call.
     Boxes that wind once are polished together with Newton from their
     centres, and quadrisected if Newton leaves them; other winding boxes
-    are quadrisected down to small diameter first.  The
-    number of roots returned (with multiplicity) always equals the top-level
-    winding; any mismatch raises instead of silently dropping a root.  A
-    root too close to the boundary triggers an automatic 1e-6 outward nudge.
+    are quadrisected down to small diameter first.  Every box is split at
+    the same fraction of its sides, 0.5; when a contour below the top one
+    fails (a split line met a root), the whole search runs again at 0.513,
+    then at 0.471, and after that raises WindingMismatch.  The number of
+    roots returned (with multiplicity) always equals the top-level winding;
+    any mismatch raises instead of silently dropping a root.  A root too
+    close to the boundary triggers an automatic 1e-6 outward nudge.
     """
     _check_k(k)
     if not 0 < tol < math.inf:
@@ -563,10 +547,18 @@ def complex_spectrum(V: PiecewiseConstantPotential, k: float,
     for attempt in range(4):
         rect = (x0 - nudge, x1 + nudge, y0 - nudge, y1 + nudge)
         try:
-            found, top = _subdivide(fun, rect, tol, h0)
+            # a split line through a root fails a contour below the top: the
+            # whole search runs again with every split line shifted
+            for frac in (0.5, 0.513, 0.471):
+                result = _subdivide(fun, rect, tol, h0, frac)
+                if result is not None:
+                    break
         except BoundaryRoot:
             nudge = 1e-6 * (attempt + 1)
             continue
+        if result is None:
+            raise WindingMismatch(f"subdivision could not reconcile windings inside {rect}")
+        found, top = result
         got = sum(mult for _, _, mult in found)
         if got != top:
             raise WindingMismatch(f"found {got} roots but boundary winds {top}")

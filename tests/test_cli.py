@@ -1,7 +1,10 @@
+import hashlib
 import json
 import math
 import time
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from zeromodes.cli import main, parse_potential, reproduce_example
@@ -181,6 +184,22 @@ def test_reproduce_sech_well(tmp_path, capsys):
         assert min(abs(c - first) for c in crossings) < 0.05
         recs = [json.loads(l) for l in (tmp_path / f"2.5_k{k}_roots.jsonl").read_text().splitlines()]
         assert abs(recs[0]["re"] - first) < 1e-6
+
+
+def test_reproduce_bundles_match_the_manifest(tmp_path):
+    # every file of the five bundles, bit for bit; the digests hold for the
+    # numpy version named in the manifest's header
+    lines = (Path(__file__).parent / "reproduce.sha256").read_text().splitlines()
+    header = [line[2:].split() for line in lines if line.startswith("# ")]
+    pinned = next(version for name, version, *_ in header if name == "numpy")
+    if np.__version__ != pinned:
+        pytest.skip(f"manifest pins numpy {pinned}, found {np.__version__}")
+    want = {name: digest for digest, name in
+            (line.split("  ") for line in lines if not line.startswith("#"))}
+    for example in ("2.1", "2.2", "2.3", "2.4", "2.5"):
+        reproduce_example(example, tmp_path)
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert got == want
 
 
 def test_determinism(tmp_path, capsys):

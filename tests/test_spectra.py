@@ -109,6 +109,25 @@ def test_root_on_a_scan_node_is_found(monkeypatch):
         assert sp.roots[0].residual == 0.0
 
 
+def test_close_real_roots_are_both_kept(monkeypatch):
+    # a tanh step of Delta from 0 to 2*pi crosses pi/2 and 3*pi/2 at m -+ d/2,
+    # 5e-8 apart: each crossing has its own bracket, so both roots stay,
+    # though they lie closer than the complex search's merge floor
+    m, d = 2e-7, 5e-8
+    s = d / (2 * math.atanh(0.5))
+
+    def tanh_step(V, g, k, slope=False):
+        t = np.tanh((np.asarray(g) - m) / s)
+        delta = math.pi * (1.0 + t)
+        return (delta, math.pi * (1.0 - t * t) / s) if slope else delta
+
+    monkeypatch.setattr(spectra, "delta_grid", tanh_step)
+    sp = real_spectrum(square_bump(), 1.0, 4e-7, tol=1e-12)
+    assert d < spectra._SEPARATION_FLOOR
+    assert len(sp.roots) == 2
+    assert max(abs(a - b) for a, b in zip(sp.real_values(), (m - d / 2, m + d / 2))) < 1e-15
+
+
 def test_refinement_is_batched(monkeypatch):
     # one Delta grid evaluation per refinement iteration over all brackets:
     # four times the roots cost no more grid calls, and no scalar calls
@@ -581,7 +600,7 @@ def _product_slope(g, roots):
                for i in range(len(roots)))
 
 
-def test_failed_retries_move_up_to_the_parent_quadrisection(monkeypatch):
+def test_failed_contours_restart_the_whole_search_at_the_next_fraction(monkeypatch):
     windings = spectra._windings
     seen = []
 
@@ -595,8 +614,9 @@ def test_failed_retries_move_up_to_the_parent_quadrisection(monkeypatch):
                         _poisoned_determinant([0.3 + 0.3j, 0.7 + 0.6j], [0.5, 0.513, 0.471]))
     with pytest.raises(WindingMismatch, match="could not reconcile"):
         complex_spectrum(square_bump(), 1.0, (0.0, 1.0, 0.0, 1.0))
-    # all three split lines of the lower-left child fail: the unit square is
-    # split again at 0.513, and that child's second split line is clean
+    # the 0.5 split of the lower-left child fails, and so would its 0.513
+    # and 0.471 splits: the whole search runs again at 0.513, where the unit
+    # square's lower-left child splits on a clean line
     roots = [0.1 + 0.1j, 0.2 + 0.3j]
     monkeypatch.setattr(spectra, "determinant",
                         _poisoned_determinant(roots, [0.25, 0.5 * 0.513, 0.5 * 0.471]))
@@ -605,6 +625,26 @@ def test_failed_retries_move_up_to_the_parent_quadrisection(monkeypatch):
     assert (0.0, 0.513, 0.0, 0.513) in seen
     assert len(sp.roots) == 2
     assert max(abs(a - b) for a, b in zip(sp.values(), roots)) < 1e-12
+
+
+def test_real_roots_on_a_split_line_restart_the_search(monkeypatch):
+    # the first 0.5 split of (1, 10, -1, 1) runs along Im = 0 through the
+    # square bump's real roots, so the children's contours fail and the
+    # whole search runs again with its split lines at 0.513
+    windings = spectra._windings
+    seen = []
+
+    def spy(fun, rects, h0):
+        seen.extend(rects)
+        return windings(fun, rects, h0)
+
+    want = real_spectrum(square_bump(), 1.0, 10.0, tol=1e-10).real_values()
+    monkeypatch.setattr(spectra, "_windings", spy)
+    sp = complex_spectrum(square_bump(), 1.0, (1.0, 10.0, -1.0, 1.0))
+    assert (1.0, 5.5, -1.0, 0.0) in seen
+    assert any(y1 == -1.0 + 0.513 * 2.0 for _, _, _, y1 in seen)
+    assert len(want) == len(sp.roots) == 6
+    assert max(abs(a - b) for a, b in zip(sp.values(), want)) < 1e-12
 
 
 def per_box_contours(rects, h0):
@@ -673,9 +713,9 @@ def test_top_contour_near_a_root_is_nudged(monkeypatch):
     tops = []
     subdivide = spectra._subdivide
 
-    def spy(fun, rect, tol, h0):
+    def spy(fun, rect, tol, h0, frac):
         tops.append(rect)
-        return subdivide(fun, rect, tol, h0)
+        return subdivide(fun, rect, tol, h0, frac)
 
     monkeypatch.setattr(spectra, "determinant", D)
     monkeypatch.setattr(spectra, "_subdivide", spy)
