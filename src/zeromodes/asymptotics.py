@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from typing import Optional
 
@@ -192,14 +192,8 @@ class DensityPrediction:
     slope_upper: float = 0.0
 
     def to_json(self) -> str:
-        return json.dumps({
-            "slope": self.slope,
-            "theorem": self.theorem.value,
-            "case_info": self.case_info.value if self.case_info else None,
-            "degenerate": self.degenerate,
-            "slope_lower": self.slope_lower,
-            "slope_upper": self.slope_upper,
-        })
+        enums = {"theorem": self.theorem.value, "case_info": self.case_info and self.case_info.value}
+        return json.dumps(asdict(self) | enums)
 
 
 def _is_antisymmetric(V: PiecewiseConstantPotential) -> bool:
@@ -267,14 +261,7 @@ class CountComparison:
     fit: str  # "least-squares" or "count-ratio"
 
     def to_json(self) -> str:
-        return json.dumps({
-            "empirical_slope": self.empirical_slope,
-            "predicted_slope": self.predicted_slope,
-            "relative_gap": self.relative_gap,
-            "n_roots": self.n_roots,
-            "R": self.R,
-            "fit": self.fit,
-        })
+        return json.dumps(asdict(self))
 
 
 def compare(spectrum, prediction: DensityPrediction, R: float) -> CountComparison:

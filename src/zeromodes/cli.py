@@ -143,12 +143,8 @@ def _write_curve_csv(path, header: str, rows) -> None:
 
 
 def _count_trace_rows(sp, R_values):
-    reals = np.array(sorted(sp.real_values()))
-    rows = []
-    for R in R_values:
-        c = int(np.searchsorted(reals, R, side="right"))
-        rows.append((R, c, c / R))
-    return rows
+    counts = np.searchsorted(sorted(sp.real_values()), R_values, side="right")
+    return zip(R_values, counts, counts / R_values)
 
 
 def _square_bump_bundle(outdir: Path, k: float = 1.0) -> list[str]:

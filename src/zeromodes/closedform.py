@@ -95,9 +95,9 @@ def determinant(V: PiecewiseConstantPotential, gammas, k: float, slope: bool = F
     spinor above 1e200 is divided by its size.  A propagator that still
     overflows raises FloatingPointError.
 
-    The slope is carried in forward mode and rescaled with D.  For large
-    calls NumPy may run a * (temporary) in place with the operands swapped,
-    so such products use np.multiply: no value depends on the call size.
+    The slope is carried in forward mode and rescaled with D.  Each
+    off-diagonal product s*(k -+ g*v) is formed once from named operands, so
+    NumPy never runs it in place: no value depends on the call size.
     """
     W = canonicalize(V)
     if all(val == 0.0 for val in W.values):
@@ -112,13 +112,14 @@ def determinant(V: PiecewiseConstantPotential, gammas, k: float, slope: bool = F
             gv = g * v if v else 0.0  # a gap: the same propagator at every coupling
             c, s, *q = cos_sinc(gv * gv - k * k, L, slope and v != 0.0)  # a gap's c, s are fixed
             c, s = (c, s) if v else (c[0], s[0])
+            km, kp = k - gv, k + gv
+            a12, a21 = s * km, s * kp  # the propagator's off-diagonal entries
             if slope:
-                km, kp = k - gv, k + gv
-                d1, d2 = c * d1 + s * km * d2, s * kp * d1 + c * d2
+                d1, d2 = c * d1 + a12 * d2, a21 * d1 + c * d2
             if q:  # d(c*I + s*M) = dc*I + ds*M + s*[[0, -v], [v, 0]], with dw^2 = 2*gamma*v^2
                 dc, ds, sv = -L * s * gv * v, q[0] * gv * v, s * v
                 d1, d2 = d1 + dc * p1 + (ds * km - sv) * p2, d2 + dc * p2 + (ds * kp + sv) * p1
-            p1, p2 = c * p1 + np.multiply(s, k - gv) * p2, np.multiply(s, k + gv) * p1 + c * p2
+            p1, p2 = c * p1 + a12 * p2, a21 * p1 + c * p2
             scale = np.maximum(abs(p1), abs(p2))
             if (scale > 1e200).any():  # harmless positive rescale, zero set unchanged
                 scale = np.where(scale > 1e200, scale, 1.0)

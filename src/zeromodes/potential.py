@@ -11,9 +11,11 @@ Gauss-Legendre panels.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import groupby
 from typing import Callable, Union
 
 import numpy as np
@@ -67,17 +69,9 @@ class PiecewiseConstantPotential:
     def __call__(self, x: float) -> float:
         """Evaluate; breakpoints take the right-limit value, outside is 0."""
         a = self.breakpoints
-        if x < a[0] or x >= a[-1]:
+        if not a[0] <= x < a[-1]:
             return 0.0
-        # rightmost j with a[j] <= x; value of interval (a[j], a[j+1])
-        lo, hi = 0, len(a) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if a[mid] <= x:
-                lo = mid
-            else:
-                hi = mid
-        return self.values[lo]
+        return self.values[bisect_right(a, x) - 1]
 
     @property
     def piece_lengths(self) -> tuple[float, ...]:
@@ -170,18 +164,13 @@ def canonicalize(V: PiecewiseConstantPotential) -> PiecewiseConstantPotential:
     """Merge adjacent equal-valued pieces and strip zero-valued end pieces.
 
     Evaluates to the same function; used for structural comparisons and gap
-    classification.  Returns a potential with no pieces at all (two equal-ish
-    breakpoints are impossible, so a fully zero V keeps one zero piece).
+    classification.  A fully zero V keeps one zero piece over its whole span.
     """
-    bp, vals = list(V.breakpoints), list(V.values)
-    # merge runs of equal values
-    mbp, mvals = [bp[0]], []
-    for j, v in enumerate(vals):
-        if mvals and v == mvals[-1]:
-            mbp[-1] = bp[j + 1]
-        else:
-            mvals.append(v)
-            mbp.append(bp[j + 1])
+    # merge runs of equal values; a run ends at its last piece's right edge
+    mvals, mbp = [], [V.breakpoints[0]]
+    for v, run in groupby(zip(V.values, V.breakpoints[1:]), key=lambda piece: piece[0]):
+        mvals.append(v)
+        mbp.append(list(run)[-1][1])
     # strip zero edges (keep at least one piece)
     while len(mvals) > 1 and mvals[0] == 0.0:
         mvals.pop(0)
@@ -275,18 +264,11 @@ def classify_gaps(V: PiecewiseConstantPotential) -> GapStructure:
     if all(v == 0.0 for v in W.values):
         raise TrivialPotential("cannot classify the zero potential")
     comps = []
-    a = W.breakpoints
-    j = 0
-    while j < len(W.values):
-        if W.values[j] == 0.0:
-            j += 1
-            continue
-        start = j
-        acc = 0.0
-        while j < len(W.values) and W.values[j] != 0.0:
-            acc += W.values[j] * (a[j + 1] - a[j])
-            j += 1
-        comps.append(SupportComponent(a[start], a[j], acc))
+    pieces = zip(W.values, W.breakpoints, W.breakpoints[1:])
+    for nonzero, run in groupby(pieces, key=lambda piece: piece[0] != 0.0):
+        if nonzero:
+            run = list(run)
+            comps.append(SupportComponent(run[0][1], run[-1][2], sum(v * (b - a) for v, a, b in run)))
     gaps = len(comps) - 1
     kind = GapKind.NO_GAP if gaps == 0 else GapKind.ONE_GAP if gaps == 1 else GapKind.MULTI_GAP
     return GapStructure(kind, gaps, tuple(comps))

@@ -16,15 +16,16 @@ does not grow with |gamma|.  Asked for the slope d(Delta)/d(gamma), the
 same sweep carries d(theta)/d(gamma) in forward mode.  Analytic potentials
 are integrated by one adaptive high-order ODE solve per Delta evaluation:
 its state holds the angles of both branches over all couplings (2n
-components), each branch walking from its truncation edge toward the
-origin in a shared variable, so the branches and the couplings share the
-steps.  The tolerances are divided by sqrt(2n).  Asked for the slope, the
-same solve also carries the variational equation of each angle (2n more
-components).  Those components get an infinite absolute tolerance, so the
-error norm sees only the angles, and the tolerances are divided by
-sqrt(4n) to keep each angle's budget; such a solve also halves the
-relative tolerance, since a refined root is read from one of them.  The
-solver is the DOP853 pair in _dop853, whose step control is scipy's.
+components), theta_plus from -pi/4 at the cutoff X and theta_minus from
++pi/4 at -X, both walking to the origin in one shared variable, so the
+branches and the couplings share the steps.  The tolerances are divided by
+sqrt(2n).  Asked for the slope, the same solve also carries the
+variational equation of each angle (2n more components).  Those components
+get an infinite absolute tolerance, so the error norm sees only the
+angles, and the tolerances are divided by sqrt(4n) to keep each angle's
+budget; such a solve also halves the relative tolerance, since a refined
+root is read from one of them.  The solver is the DOP853 pair in _dop853,
+whose step control is scipy's.
 
 Matching conventions (zero sets are convention independent):
 
@@ -122,12 +123,8 @@ def truncation_bound(V: AnalyticPotential, gamma: float, X: float) -> float:
 
 def choose_truncation(V: AnalyticPotential, gamma: float, tol: float = 1e-8) -> float:
     """Smallest cutoff (by geometric search) keeping the tail defect below tol."""
-    return _choose_truncation_bucketed(V, _gamma_bucket(gamma), tol)
-
-
-def _gamma_bucket(gamma: float) -> float:
     # round |gamma| up to a power of two so nearby couplings share a cutoff
-    return 2.0 ** math.ceil(math.log2(1.0 + abs(gamma)))
+    return _choose_truncation_bucketed(V, 2.0 ** math.ceil(math.log2(1.0 + abs(gamma))), tol)
 
 
 @lru_cache(maxsize=512)
@@ -199,22 +196,20 @@ def _lift(W: PiecewiseConstantPotential, gammas: np.ndarray, theta: float,
     return (theta, p) if slope else theta
 
 
-def _walk_ode(theta0: Sequence[float], x0: Sequence[float], direction: Sequence[float],
-              length: float, V, gammas: np.ndarray, k: float,
-              rtol: float = _ODE_RTOL, slope: bool = False):
-    """Lifted angles, shape (branches, couplings), from one adaptive solve
-    whose state holds every branch for every coupling; with slope, the pair
-    (angles, their derivatives in gamma) from the same solve.  V is a scalar
-    function of x.
+def _walk_ode(V, X: float, gammas: np.ndarray, k: float, slope: bool = False):
+    """Delta = -pi/2 - theta_plus + theta_minus at the origin for every
+    coupling, from one adaptive solve whose state holds both branches; with
+    slope, the pair (Delta, d(Delta)/d(gamma)) from the same solve, at half
+    the relative tolerance.  V is a scalar function of x.
 
-    Branch b starts from theta0[b] at x0[b] and walks length in direction[b]
-    (+1 or -1): it sits at x = x0[b] + direction[b]*s for the shared variable
-    s in [0, length].  The state holds direction[b]*theta, which obeys
-    d/ds = gamma*V(x) + k*cos(2*state) on every branch (cos is even), so the
-    branches differ only in where V is read.  The integrator bounds the RMS
-    of the scaled error estimates over the components, so both tolerances
-    are divided by the square root of their number: each component's
-    estimate then stays within the budget of a solve of its own.
+    theta_plus starts from -pi/4 at X and sits at x = X - s, theta_minus
+    from +pi/4 at -X and sits at x = -X + s, for the shared s in [0, X].
+    The state holds -theta_plus and theta_minus: both start at pi/4 and obey
+    d/ds = gamma*V(x) + k*cos(2*state) (cos is even), so the branches differ
+    only in where V is read.  The integrator bounds the RMS of the scaled
+    error estimates over the components, so both tolerances are divided by
+    the square root of their number: each component's estimate then stays
+    within the budget of a solve of its own.
 
     With slope, the state also holds p = d(state)/d(gamma), which obeys
     dp/ds = V(x) - 2k*sin(2*state)*p from p = 0 (the edges do not move with
@@ -223,19 +218,17 @@ def _walk_ode(theta0: Sequence[float], x0: Sequence[float], direction: Sequence[
     angles' errors alone: with the tolerances divided by the square root of
     the whole state's size, each angle keeps the budget it has without p.
     """
-    sign = np.asarray(direction, dtype=float)[:, None]
-    start = sign * np.asarray(theta0, dtype=float)[:, None] * np.ones(gammas.size)
-    n = start.size
-    y = np.concatenate([start.ravel(), np.zeros(n if slope else 0)])
-    ends = [(float(a), float(d)) for a, d in zip(x0, direction)]
+    m = gammas.size
+    n = 2 * m
+    y = np.concatenate([np.full(n, math.pi / 4), np.zeros(n if slope else 0)])
     # the right-hand side writes into these; the stepper copies what it returns
-    v = np.empty((len(ends), 1))
+    v = np.empty((2, 1))
     out = np.empty(y.size)
-    rates = out.reshape((-1,) + start.shape)  # angles, then slopes
+    rates = out.reshape(-1, 2, m)  # angles, then slopes
     twice, term = np.empty(n), np.empty(n)
 
     def rhs(s, state):
-        v[:, 0] = [V(a + d * s) for a, d in ends]
+        v[:, 0] = V(X - s), V(s - X)
         np.multiply(v, gammas, out=rates[0])
         np.multiply(state[:n], 2.0, out=twice)
         np.multiply(np.cos(twice, out=term), k, out=term)
@@ -243,16 +236,16 @@ def _walk_ode(theta0: Sequence[float], x0: Sequence[float], direction: Sequence[
         if slope:
             np.multiply(np.sin(twice, out=term), 2.0 * k, out=term)
             np.multiply(term, state[n:], out=term)
-            np.subtract(v, term.reshape(start.shape), out=rates[1])
+            np.subtract(v, term.reshape(2, m), out=rates[1])
         return out
 
-    if length != 0 and n != 0:
-        shrink = 1.0 / math.sqrt(y.size)
-        atol = np.where(np.arange(y.size) < n, _ODE_ATOL * shrink, np.inf)
-        y_old, y = solve_ivp(rhs, (0.0, length), y, rtol * shrink, atol)
-        y = y_old + (y - y_old)  # the end value of the last step's DOP853 interpolant
-    angles = sign * y[:n].reshape(start.shape)
-    return (angles, sign * y[n:].reshape(start.shape)) if slope else angles
+    shrink = 1.0 / math.sqrt(y.size)
+    atol = np.where(np.arange(y.size) < n, _ODE_ATOL * shrink, np.inf)
+    rtol = _ODE_RTOL * (0.5 if slope else 1.0) * shrink
+    y_old, y = solve_ivp(rhs, (0.0, X), y, rtol, atol)
+    y = y_old + (y - y_old)  # the end value of the last step's DOP853 interpolant
+    delta = -math.pi / 2 + y[:m] + y[m:n]
+    return (delta, y[n + m:] + y[n:n + m]) if slope else delta
 
 
 def _piece_segments(W: PiecewiseConstantPotential, x0: float, x1: float):
@@ -287,12 +280,7 @@ def delta_grid(V: Potential, gammas: Sequence[float], k: float, slope: bool = Fa
     if isinstance(V, AnalyticPotential):
         # share one cutoff across the grid so the scan is consistent
         X = choose_truncation(V, float(np.max(np.abs(g), initial=0.0)))
-        walk = _walk_ode([-math.pi / 4, math.pi / 4], [X, -X], [-1.0, 1.0], X, V.evaluator,
-                         g, k, _ODE_RTOL * (0.5 if slope else 1.0), slope)
-        if not slope:
-            return -math.pi / 2 - walk[0] + walk[1]
-        (plus, minus), (dplus, dminus) = walk
-        return -math.pi / 2 - plus + minus, dminus - dplus
+        return _walk_ode(V.evaluator, X, g, k, slope)
 
     a, b = V.support_hull() or (0.0, 0.0)  # no support: no piece to cross, Delta = 0
     lift = _lift(canonicalize(V), g, -math.pi / 4, b, a, k, slope)

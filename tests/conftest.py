@@ -6,12 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm_frechet
 from scipy.optimize import brentq, minimize_scalar
 
 from zeromodes.errors import UnresolvedCell
 from zeromodes.potential import build_w, canonicalize, hrp_potential
-from zeromodes.prufer import _lift, _piece_segments, _walk_ode
+from zeromodes.prufer import _lift, _piece_segments
 from zeromodes.spectra import _refine
 from zeromodes.trigzeros import _TANGENT_ENERGY, TrigParams, ZeroScan, energy, f_value
 
@@ -67,15 +68,15 @@ def lift_angle(V, theta, x0, x1, gamma, k):
 
 
 def ode_angle(V, theta, x0, x1, gamma, k):
-    """The same angle by one adaptive solve per constant piece.  Each piece
+    """The same angle by one scipy DOP853 solve per constant piece, so the
+    reference does not run on the package's own stepper.  Each piece
     starts from the angle reduced mod pi: theta' is pi-periodic in theta, so
     the relative tolerance then does not grow with |theta|."""
-    g = np.array([float(gamma)])
     for a, b, v in _piece_segments(canonicalize(V), x0, x1):
         turns = math.pi * round(theta / math.pi)
-        walk = _walk_ode([theta - turns], [a], [math.copysign(1.0, b - a)], abs(b - a),
-                         lambda _x, _v=v: _v, g, k, rtol=_REF_RTOL)
-        theta = turns + float(walk[0, 0])
+        sol = solve_ivp(lambda _x, t: gamma * v + k * np.cos(2.0 * t), (a, b),
+                        [theta - turns], method="DOP853", rtol=_REF_RTOL, atol=1e-12)
+        theta = turns + float(sol.y[0, -1])
     return theta
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from zeromodes.asymptotics import (
     ABranch,
+    CountComparison,
     DensityPrediction,
     TheoremTag,
     a_density,
@@ -234,6 +235,20 @@ def test_report_json():
     payload = json.loads(rep.to_json())
     assert payload["fit"] == "least-squares"
     assert payload["n_roots"] == len(sp.roots)
+
+
+def test_json_reports_keep_their_keys_and_values():
+    multi = build_w([0.0, 1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 0.0, -1.0, 0.0, 2.0])
+    assert predict(multi, 1.0).to_json() == (
+        '{"slope": null, "theorem": "lower-bound-only", "case_info": null, "degenerate": false, '
+        '"slope_lower": 0.6366197723675814, "slope_upper": 13.844095670916241}')
+    assert predict(gap_pair(1.0, 2.0), 1.0).to_json() == (
+        '{"slope": 0.954929658551372, "theorem": "one-gap", "case_info": "rational-super", '
+        '"degenerate": false, "slope_lower": 0.3183098861837907, "slope_upper": 10.383071753187181}')
+    rep = CountComparison(0.9551, 0.9549296585513721, 2.3e-4, 573, 600.0, "least-squares")
+    assert rep.to_json() == (
+        '{"empirical_slope": 0.9551, "predicted_slope": 0.9549296585513721, '
+        '"relative_gap": 0.00023, "n_roots": 573, "R": 600.0, "fit": "least-squares"}')
 
 
 def test_a_density_degenerate_flagged():

@@ -132,6 +132,21 @@ def test_classify_gaps():
         classify_gaps(build_w([0.0, 1.0], [0.0]))
 
 
+def test_classify_gaps_merges_signed_zeros_and_equal_neighbours():
+    V = build_w([-3.0, -2.0, -1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 4.0],
+                [0.0, 1.0, 1.0, -0.0, 0.0, 2.0, 2.0, -0.0])
+    gs = classify_gaps(V)
+    assert gs.kind is GapKind.ONE_GAP and gs.gap_count == 1
+    assert [(c.lo, c.hi, c.integral) for c in gs.components] == [(-2.0, 0.0, 2.0), (1.0, 3.0, 4.0)]
+
+
+def test_evaluation_takes_right_limits_and_is_zero_outside():
+    V = build_w([-1.0, 0.0, 2.0], [1.0, -2.0])
+    assert (V(-1.0), V(-1e-12), V(0.0), V(1.9999999)) == (1.0, 1.0, -2.0, -2.0)
+    assert V(-1.0 - 1e-12) == 0.0 and V(2.0) == 0.0 and V(3.0) == 0.0
+    assert V(math.nan) == 0.0  # no comparison holds for NaN: it lies in no piece
+
+
 def test_classify_ignores_zero_padding():
     V = build_w([-5.0, -1.0, 1.0, 7.0], [0.0, 1.0, 0.0])
     gs = classify_gaps(V)
