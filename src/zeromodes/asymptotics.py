@@ -59,14 +59,8 @@ def nu(alpha: float, beta: float) -> float:
     if alpha * beta <= 1.0:
         raise OutOfDomain(f"alpha*beta = {alpha * beta} <= 1")
     b2m1 = beta * beta - 1.0
-
-    def _asin(t: float) -> float:
-        if 1.0 < t < 1.0 + 1e-12:
-            t = 1.0
-        return math.asin(t)
-
-    first = _asin(math.sqrt(alpha * alpha * beta * beta - 1.0) / math.sqrt(b2m1))
-    second = _asin(math.sqrt(1.0 - alpha * alpha) / (alpha * math.sqrt(b2m1)))
+    first = math.asin(min(1.0, math.sqrt(alpha * alpha * beta * beta - 1.0) / math.sqrt(b2m1)))
+    second = math.asin(min(1.0, math.sqrt(1.0 - alpha * alpha) / (alpha * math.sqrt(b2m1))))
     return (2.0 / math.pi) * (beta * first + second)
 
 
@@ -90,31 +84,17 @@ def parity_normalize(p: int, q: int) -> ParityNormalizedBeta:
 def detect_rational(beta: float, qmax: int = 10**6) -> Optional[tuple[int, int]]:
     """Best-effort rationality detection for a floating-point beta.
 
-    Returns (p, q) when some continued-fraction convergent with q <= qmax
-    satisfies |beta - p/q| < 1e-9 / q^2, i.e. the approximation is far
-    tighter than a generic irrational allows at that denominator.  Only
-    convergents can pass this test, so enumeration over them is exhaustive.
+    Returns (p, q) when the best rational approximation with q <= qmax
+    satisfies |beta - p/q| < 1e-9 / q^2, i.e. far tighter than a generic
+    irrational allows at that denominator.  Fractions with q, q' <= qmax lie
+    at least 1/(q q') apart, so only the closest one can pass this test.
     """
     if beta < 0:
         return None
-    if beta == 0.0:
-        return (0, 1)
-    x = beta
-    p0, q0, p1, q1 = 1, 0, int(math.floor(x)), 1
-    if abs(beta - p1) < 1e-9:
-        return (p1, 1)
-    for _ in range(64):
-        frac = x - math.floor(x)
-        if frac < 1e-15:
-            break
-        x = 1.0 / frac
-        a = int(math.floor(x))
-        p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
-        if q1 > qmax:
-            break
-        if abs(beta - p1 / q1) < 1e-9 / (q1 * q1):
-            return (p1, q1)
-    return None
+    from fractions import Fraction  # costs ms: load on first use
+
+    p, q = Fraction(beta).limit_denominator(qmax).as_integer_ratio()
+    return (p, q) if abs(beta - p / q) < 1e-9 / (q * q) else None
 
 
 class ABranch(Enum):
@@ -136,7 +116,7 @@ def a_density(alpha: float, beta: float,
     """Density factor A(alpha, beta) with branch and degeneracy provenance.
 
     The rational branch is selected by rational_hint when supplied (the
-    caller knows the arithmetic), else by convergent detection.  The
+    caller knows the arithmetic), else by detect_rational.  The
     degenerate flag marks p_beta + q_beta*nu in 4Z (where tangential zeros
     void the counting argument); the value is still reported, never
     silently rebranched.  alpha*beta == 1 (within 1e-9) is excluded.
@@ -156,8 +136,6 @@ def a_density(alpha: float, beta: float,
         return ADensity(nu(alpha, beta), ABranch.IRRATIONAL_SUPER, False)
 
     p, q = pq
-    if math.gcd(p, q) != 1:
-        raise NotCoprime(f"rational_hint {pq} is not reduced")
     norm = parity_normalize(p, q)
     value_nu = nu(alpha, p / q)
     combo = norm.p_beta + norm.q_beta * value_nu
@@ -218,37 +196,30 @@ def predict(V: PiecewiseConstantPotential, k: float) -> DensityPrediction:
     if absnorm == 0.0:
         raise TrivialPotential("prediction needs a nontrivial potential")
     lower = abs(total) / math.pi
-    upper = _UPPER_BOUND_CONST * absnorm
+    bounds = {"slope_lower": lower, "slope_upper": _UPPER_BOUND_CONST * absnorm}
 
     if _is_antisymmetric(V):
-        return DensityPrediction(0.0, TheoremTag.ANTISYMMETRIC_EMPTY,
-                                 slope_lower=lower, slope_upper=upper)
+        return DensityPrediction(0.0, TheoremTag.ANTISYMMETRIC_EMPTY, **bounds)
 
     signs = {v > 0 for v in V.values if v != 0.0}
     if len(signs) == 1:
-        return DensityPrediction(absnorm / math.pi, TheoremTag.SINGLE_SIGN,
-                                 slope_lower=lower, slope_upper=upper)
+        return DensityPrediction(absnorm / math.pi, TheoremTag.SINGLE_SIGN, **bounds)
 
     gs = pot.classify_gaps(V)
     if gs.kind is GapKind.NO_GAP:
-        return DensityPrediction(lower, TheoremTag.NO_GAP,
-                                 slope_lower=lower, slope_upper=upper)
+        return DensityPrediction(lower, TheoremTag.NO_GAP, **bounds)
     if gs.kind is GapKind.ONE_GAP:
         v1, v2 = (c.integral for c in gs.components)
         if v1 + v2 == 0.0:
-            return DensityPrediction(0.0, TheoremTag.ZERO_INTEGRAL_FINITE,
-                                     slope_lower=lower, slope_upper=upper)
+            return DensityPrediction(0.0, TheoremTag.ZERO_INTEGRAL_FINITE, **bounds)
         params = pot.one_gap_params(V, k)
         dens = a_density(params.alpha, params.beta)
         return DensityPrediction(dens.value * abs(v1 + v2) / math.pi, TheoremTag.ONE_GAP,
-                                 case_info=dens.branch, degenerate=dens.degenerate,
-                                 slope_lower=lower, slope_upper=upper)
+                                 case_info=dens.branch, degenerate=dens.degenerate, **bounds)
     # several gaps: no sharp law; report which universal bound is informative
     if total != 0.0:
-        return DensityPrediction(None, TheoremTag.LOWER_BOUND_ONLY,
-                                 slope_lower=lower, slope_upper=upper)
-    return DensityPrediction(None, TheoremTag.UPPER_BOUND_ONLY,
-                             slope_lower=lower, slope_upper=upper)
+        return DensityPrediction(None, TheoremTag.LOWER_BOUND_ONLY, **bounds)
+    return DensityPrediction(None, TheoremTag.UPPER_BOUND_ONLY, **bounds)
 
 
 @dataclass(frozen=True)

@@ -101,18 +101,6 @@ class GammaSpectrum:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _merge_sorted(roots: list[Root]) -> tuple[Root, ...]:
-    roots = sorted(roots, key=lambda r: (r.value.real, r.value.imag))
-    out: list[Root] = []
-    for r in roots:
-        if out and abs(r.value - out[-1].value) < _SEPARATION_FLOOR:
-            if r.residual < out[-1].residual:
-                out[-1] = r
-            continue
-        out.append(r)
-    return tuple(out)
-
-
 def _scan_step(V: Potential, k: float) -> float:
     """Coupling step over which the phase of a zero mode turns by at most
     about pi/4: an a-priori slope heuristic from the potential's L1 norm
@@ -562,10 +550,11 @@ def complex_spectrum(V: PiecewiseConstantPotential, k: float,
         got = sum(mult for _, _, mult in found)
         if got != top:
             raise WindingMismatch(f"found {got} roots but boundary winds {top}")
-        merged = _merge_sorted([Root(z, r, "winding-newton", m) for z, r, m in found])
-        if sum(r.multiplicity for r in merged) != top:
-            raise WindingMismatch("duplicate roots merged away; winding no longer reconciles")
-        return GammaSpectrum(merged, (x0, x1, y0, y1), k)
+        roots = sorted((Root(z, r, "winding-newton", m) for z, r, m in found),
+                       key=lambda r: (r.value.real, r.value.imag))
+        if any(abs(a.value - b.value) < _SEPARATION_FLOOR for a, b in zip(roots, roots[1:])):
+            raise WindingMismatch("two boxes found the same root; winding no longer reconciles")
+        return GammaSpectrum(tuple(roots), (x0, x1, y0, y1), k)
     raise BoundaryRoot("rectangle boundary keeps hitting a root despite nudging")
 
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from zeromodes.asymptotics import (
     ABranch,
@@ -70,6 +71,17 @@ def test_detect_rational():
     assert detect_rational(math.sqrt(2)) is None
     assert detect_rational(1.2 * math.sqrt(2)) is None
     assert detect_rational(0.0) == (0, 1)
+    # the float's exact value is 8887103264677787/16; a nearby p/3 only
+    # rounds to it
+    assert detect_rational(555443954042361.7) == (8887103264677787, 16)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500, database=None)
+@given(st.integers(1, 100).flatmap(lambda q: st.tuples(st.integers(0, 100 * q - 1), st.just(q))))
+def test_detect_rational_recovers_small_fractions(pq):
+    p, q = pq
+    assume(math.gcd(p, q) == 1)
+    assert detect_rational(p / q) == (p, q)
 
 
 def test_a_density_branches():
@@ -245,6 +257,24 @@ def test_json_reports_keep_their_keys_and_values():
     assert predict(gap_pair(1.0, 2.0), 1.0).to_json() == (
         '{"slope": 0.954929658551372, "theorem": "one-gap", "case_info": "rational-super", '
         '"degenerate": false, "slope_lower": 0.3183098861837907, "slope_upper": 10.383071753187181}')
+    pinned = [
+        (antisymmetric_pair(1.0), '{"slope": 0.0, "theorem": "antisymmetric-empty", '
+         '"case_info": null, "degenerate": false, "slope_lower": 0.0, '
+         '"slope_upper": 6.9220478354581205}'),
+        (square_bump(), '{"slope": 0.6366197723675814, "theorem": "single-sign", '
+         '"case_info": null, "degenerate": false, "slope_lower": 0.6366197723675814, '
+         '"slope_upper": 6.9220478354581205}'),
+        (build_w([0.0, 1.0, 2.0], [2.0, -1.0]), '{"slope": 0.3183098861837907, '
+         '"theorem": "no-gap", "case_info": null, "degenerate": false, '
+         '"slope_lower": 0.3183098861837907, "slope_upper": 10.383071753187181}'),
+        (build_w([0.0, 1.0, 2.0, 4.0], [2.0, 0.0, -1.0]), '{"slope": 0.0, '
+         '"theorem": "zero-integral-finite", "case_info": null, "degenerate": false, '
+         '"slope_lower": 0.0, "slope_upper": 13.844095670916241}'),
+        (twin_gap(1.0), '{"slope": null, "theorem": "upper-bound-only", "case_info": null, '
+         '"degenerate": false, "slope_lower": 0.0, "slope_upper": 13.844095670916241}'),
+    ]
+    for V, text in pinned:
+        assert predict(V, 1.0).to_json() == text
     rep = CountComparison(0.9551, 0.9549296585513721, 2.3e-4, 573, 600.0, "least-squares")
     assert rep.to_json() == (
         '{"empirical_slope": 0.9551, "predicted_slope": 0.9549296585513721, '

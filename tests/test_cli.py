@@ -7,9 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from zeromodes import spectra
 from zeromodes.cli import main, parse_potential, reproduce_example
 from zeromodes.errors import UnknownExample
 from zeromodes.potential import AnalyticPotential, PiecewiseConstantPotential
+from test_spectra import _boundary_roots
 
 
 def run(argv, capsys):
@@ -236,6 +238,20 @@ def test_unconverged_scan_fails_fast(capsys):
     assert code == 3
     assert err.startswith("numerical failure:")
     assert time.perf_counter() - start < 15.0
+
+
+def test_scan_and_nudge_failures_exit_3(monkeypatch, capsys):
+    # the stubs of test_spectra: a scan that never stabilises, and a
+    # rectangle whose corner meets a root after every nudge
+    monkeypatch.setattr(spectra, "delta_grid", lambda V, g, k, slope=False: 1e9 * np.asarray(g))
+    monkeypatch.setattr(spectra, "determinant", _boundary_roots)
+    bump = ["spectrum", "--potential", "w:[-1,1]:1", "--k", "1"]
+    for argv, message in ((["--R", "1"], "scan failed to stabilise"),
+                          (["--re-min", "0", "--re-max", "1", "--im-min", "0", "--im-max", "1"],
+                           "despite nudging")):
+        code, _, err = run(bump + argv, capsys)
+        assert code == 3
+        assert err.startswith("numerical failure:") and message in err
 
 
 _BUMP = ["-p", "w:[-1,1]:1", "--k", "1"]

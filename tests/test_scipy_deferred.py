@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 import zeromodes, zeromodes.cli
+assert "fractions" not in sys.modules  # detect_rational loads it on first use
 from zeromodes import cli
 from zeromodes.asymptotics import compare, predict
 from zeromodes.potential import build_w, hrp_potential, synthesize_one_gap

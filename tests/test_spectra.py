@@ -8,7 +8,13 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from zeromodes import prufer, spectra
-from zeromodes.errors import NonPositiveK, RegionTooSmall, WindingMismatch
+from zeromodes.errors import (
+    BoundaryRoot,
+    NonPositiveK,
+    RegionTooSmall,
+    ScanStepTooCoarse,
+    WindingMismatch,
+)
 from zeromodes.potential import build_w, hrp_potential, negate, translate
 from zeromodes.spectra import (
     complex_spectrum,
@@ -126,6 +132,14 @@ def test_close_real_roots_are_both_kept(monkeypatch):
     assert d < spectra._SEPARATION_FLOOR
     assert len(sp.roots) == 2
     assert max(abs(a - b) for a, b in zip(sp.real_values(), (m - d / 2, m + d / 2))) < 1e-15
+
+
+def test_scan_that_never_stabilises_raises(monkeypatch):
+    # a slope of 1e9 puts ~1e9/pi level crossings in [0, 1]: no grid under
+    # the cell cap brackets them all, and the scan gives up
+    monkeypatch.setattr(spectra, "delta_grid", lambda V, g, k, slope=False: 1e9 * np.asarray(g))
+    with pytest.raises(ScanStepTooCoarse):
+        real_spectrum(square_bump(), 1.0, 1.0)
 
 
 def test_refinement_is_batched(monkeypatch):
@@ -722,6 +736,43 @@ def test_top_contour_near_a_root_is_nudged(monkeypatch):
     sp = complex_spectrum(square_bump(), 1.0, (0.0, 1.0, 0.0, 1.0))
     assert tops == [(0.0, 1.0, 0.0, 1.0), (-1e-6, 1.0 + 1e-6, -1e-6, 1.0 + 1e-6)]
     assert max(abs(a - b) for a, b in zip(sp.values(), roots)) < 1e-9
+
+
+_BOUNDARY_ROOTS = [-1e-6 * j * (1 + 1j) for j in range(4)]
+
+
+def _boundary_roots(V, g, k, slope=False):
+    # each 1e-6 outward nudge of a rectangle cornered at 0 puts its corner
+    # on the next root
+    g = np.asarray(g, dtype=complex)
+    d = np.prod([g - c for c in _BOUNDARY_ROOTS], axis=0)
+    return (d, _product_slope(g, _BOUNDARY_ROOTS)) if slope else d
+
+
+def test_boundary_root_after_every_nudge_raises(monkeypatch):
+    monkeypatch.setattr(spectra, "determinant", _boundary_roots)
+    with pytest.raises(BoundaryRoot, match="despite nudging"):
+        complex_spectrum(square_bump(), 1.0, (0.0, 1.0, 0.0, 1.0))
+
+
+def test_duplicate_complex_root_raises(monkeypatch):
+    # a real root 2.2618568870 on the split line Im = 0 is found from both
+    # halves, at +-5e-32i; the two copies are one root, so the search must
+    # raise rather than return it twice
+    results = []
+    subdivide = spectra._subdivide
+
+    def spy(fun, rect, tol, h0, frac):
+        results.append(subdivide(fun, rect, tol, h0, frac))
+        return results[-1]
+
+    monkeypatch.setattr(spectra, "_subdivide", spy)
+    with pytest.raises(WindingMismatch, match="same root"):
+        complex_spectrum(build_w([0, 1, 11, 12], [1, 0, 1]), 1.0, (2.25, 2.27, -0.005, 0.005))
+    zs = sorted((z for z, _, _ in results[-1][0]), key=lambda z: (z.real, z.imag))
+    [(a, b)] = [(a, b) for a, b in zip(zs, zs[1:]) if abs(a - b) < spectra._SEPARATION_FLOOR]
+    assert a.imag * b.imag < 0
+    assert abs(a.real - 2.2618568870) < 1e-9
 
 
 @pytest.mark.parametrize("tol", [-1e-9, math.nan, 0.0])
