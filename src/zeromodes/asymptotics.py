@@ -175,17 +175,14 @@ class DensityPrediction:
 
 
 def _is_antisymmetric(V: PiecewiseConstantPotential) -> bool:
+    """V(x) == -V(a0 + am - x) over the support hull [a0, am] of a nonzero V."""
     W = pot.canonicalize(V)
-    hull = W.support_hull()
-    if hull is None:
+    if W.support_hull() is None:
         return False
-    c = 0.5 * (hull[0] + hull[1])
-    flipped = pot.canonicalize(pot.translate(pot.negate(pot.mirror(W)), 2.0 * c))
-    if len(flipped.values) != len(W.values):
-        return False
+    a, v = np.array(W.breakpoints), np.array(W.values)
     scale = max(abs(b) for b in W.breakpoints) + 1.0
-    return (np.allclose(W.breakpoints, flipped.breakpoints, rtol=0.0, atol=1e-12 * scale)
-            and np.allclose(W.values, flipped.values, rtol=1e-12, atol=1e-14))
+    return (np.allclose(a, (a[0] + a[-1]) - a[::-1], rtol=0.0, atol=1e-12 * scale)
+            and np.allclose(v, -v[::-1], rtol=1e-12, atol=1e-14))
 
 
 def predict(V: PiecewiseConstantPotential, k: float) -> DensityPrediction:

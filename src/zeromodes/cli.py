@@ -6,8 +6,9 @@ of arg D over a complex rectangle), reproduce (canned demonstration
 scenarios 2.1-2.5: square bump, antisymmetric pair, gap dichotomy, twin
 gaps, sech well).
 
-Potentials are given in a mini-language: `w:[a0,a1,...]:v1,v2,...` for a
-step potential, or a named analytic potential such as `hrp`.  Every
+Potentials are given in the mini-language that potential.from_record
+reads: `w:[a0,a1,...]:v1,v2,...` for a step potential, `hrp` for the
+-1/cosh well.  Every
 command is deterministic: fixed grids, no randomness, order-deterministic
 assembly, so identical invocations produce byte-identical outputs.  A
 --config file of key=value lines sets option defaults (a key that names
@@ -27,31 +28,9 @@ from pathlib import Path
 import numpy as np
 
 from . import asymptotics, closedform, potential, prufer, spectra
-from .errors import LengthMismatch, NonMonotoneBreakpoints, UnknownExample, ZeromodesError
+from .errors import UnknownExample, ZeromodesError
 
-__all__ = ["main", "parse_potential", "reproduce_example"]
-
-
-def parse_potential(text: str) -> potential.Potential:
-    """Parse the potential mini-language.
-
-    `w:[-1,1]:1` -> step potential with breakpoints -1, 1 and value 1;
-    `hrp` -> the analytic -1/cosh well.  A malformed spec raises ValueError.
-    """
-    text = text.strip()
-    if text == "hrp":
-        return potential.hrp_potential()
-    if text.startswith("w:"):
-        try:
-            _, bp_part, val_part = text.split(":", 2)
-            if not (bp_part.startswith("[") and bp_part.endswith("]")):
-                raise ValueError("breakpoints must be bracketed")
-            bps = [float(s) for s in bp_part[1:-1].split(",")]
-            vals = [float(s) for s in val_part.split(",")]
-            return potential.build_w(bps, vals)
-        except (ValueError, NonMonotoneBreakpoints, LengthMismatch) as exc:
-            raise ValueError(f"malformed step potential spec {text!r}: {exc}") from None
-    raise ValueError(f"unknown potential spec {text!r}")
+__all__ = ["main", "reproduce_example"]
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -91,7 +70,7 @@ def _validate_common(args) -> None:
 
 def _cmd_spectrum(args) -> int:
     _validate_common(args)
-    V = parse_potential(args.potential)
+    V = potential.from_record(args.potential)
     rect = (args.re_min, args.re_max, args.im_min, args.im_max)
     if args.R is not None:
         sp = spectra.real_spectrum(V, args.k, args.R, tol=args.tol)
@@ -109,7 +88,7 @@ def _cmd_count_compare(args) -> int:
     _validate_common(args)
     if args.R is None:
         raise ValueError("--R is required")
-    V = parse_potential(args.potential)
+    V = potential.from_record(args.potential)
     if not isinstance(V, potential.PiecewiseConstantPotential):
         raise ValueError("count-compare predictions require a step potential")
     sp = spectra.real_spectrum(V, args.k, args.R, tol=args.tol)
@@ -123,7 +102,7 @@ def _cmd_phaseplot(args) -> int:
     rect = (args.re_min, args.re_max, args.im_min, args.im_max)
     if None in rect:
         raise ValueError("phaseplot needs the full rectangle")
-    V = parse_potential(args.potential)
+    V = potential.from_record(args.potential)
     if not isinstance(V, potential.PiecewiseConstantPotential):
         raise ValueError("phase plots require a step potential")
     grid = spectra.phase_grid(V, args.k, rect, args.nx, args.ny)

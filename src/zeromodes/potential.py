@@ -49,7 +49,6 @@ __all__ = [
     "translate",
     "negate",
     "mirror",
-    "transform",
     "to_record",
     "from_record",
 ]
@@ -382,55 +381,41 @@ def mirror(V: Potential) -> Potential:
     return AnalyticPotential(lambda x: f(-x), V.decay_hint)
 
 
-def transform(V: Potential, op: str, shift: float = 0.0) -> Potential:
-    """Dispatch on op in {'translate', 'negate', 'mirror'}."""
-    if op == "translate":
-        return translate(V, shift)
-    if op == "negate":
-        return negate(V)
-    if op == "mirror":
-        return mirror(V)
-    raise ValueError(f"unknown transform {op!r}")
-
-
-# --- serialization -----------------------------------------------------------
+# --- text form ----------------------------------------------------------------
 #
-# Flat text record, one key=value per line.  Floats are written with repr()
-# so the piecewise round trip is bit exact.
-
-_NAMED_ANALYTIC: dict[str, Callable[[], AnalyticPotential]] = {
-    "hrp": hrp_potential,
-}
+# The one-line spec the CLI reads: `w:[a0,a1,...]:v1,v2,...` for a step
+# potential, `hrp` for the -1/cosh well.  Floats are written with repr()
+# so the step round trip is bit exact.
 
 
 def to_record(V: Potential) -> str:
-    if isinstance(V, PiecewiseConstantPotential):
-        bp = ",".join(repr(b) for b in V.breakpoints)
-        vals = ",".join(repr(v) for v in V.values)
-        return f"kind=piecewise\nbreakpoints={bp}\nvalues={vals}\n"
-    if not V.name:
-        raise ValueError("only named analytic potentials serialize")
-    return f"kind=analytic\nname={V.name}\n"
+    """The spec of V; raises ValueError if from_record cannot read it back."""
+    if isinstance(V, AnalyticPotential):
+        if V.name != "hrp":
+            raise ValueError(f"analytic potential {V.name!r} has no spec")
+        return "hrp"
+    text = f"w:[{','.join(map(repr, V.breakpoints))}]:{','.join(map(repr, V.values))}"
+    from_record(text)
+    return text
 
 
 def from_record(text: str) -> Potential:
-    fields = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, val = line.partition("=")
-        fields[key.strip()] = val.strip()
-    kind = fields.get("kind")
-    if kind == "piecewise":
-        if "breakpoints" not in fields:
-            raise ValueError("piecewise record has no breakpoints")
-        bp = [float(s) for s in fields["breakpoints"].split(",")]
-        vals = [float(s) for s in fields["values"].split(",")] if fields.get("values") else []
-        return build_w(bp, vals)
-    if kind == "analytic":
-        name = fields.get("name", "")
-        if name not in _NAMED_ANALYTIC:
-            raise ValueError(f"unknown analytic potential {name!r}")
-        return _NAMED_ANALYTIC[name]()
-    raise ValueError(f"unknown record kind {kind!r}")
+    """Parse the potential mini-language.
+
+    `w:[-1,1]:1` -> step potential with breakpoints -1, 1 and value 1;
+    `hrp` -> the analytic -1/cosh well.  A malformed spec raises ValueError.
+    """
+    text = text.strip()
+    if text == "hrp":
+        return hrp_potential()
+    if text.startswith("w:"):
+        try:
+            _, bp_part, val_part = text.split(":", 2)
+            if not (bp_part.startswith("[") and bp_part.endswith("]")):
+                raise ValueError("breakpoints must be bracketed")
+            bps = [float(s) for s in bp_part[1:-1].split(",")]
+            vals = [float(s) for s in val_part.split(",")]
+            return build_w(bps, vals)
+        except (ValueError, NonMonotoneBreakpoints, LengthMismatch) as exc:
+            raise ValueError(f"malformed step potential spec {text!r}: {exc}") from None
+    raise ValueError(f"unknown potential spec {text!r}")

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from typing import Callable
 
@@ -89,16 +89,9 @@ class GammaSpectrum:
         return [r.value.real for r in self.roots if r.value.imag == 0.0]
 
     def to_json_lines(self) -> str:
-        lines = []
-        for r in self.roots:
-            lines.append(json.dumps({
-                "re": r.value.real,
-                "im": r.value.imag,
-                "residual": r.residual,
-                "method": r.method,
-                "multiplicity": r.multiplicity,
-            }))
-        return "\n".join(lines) + ("\n" if lines else "")
+        return "".join(json.dumps({"re": r.value.real, "im": r.value.imag}
+                                  | {k: v for k, v in asdict(r).items() if k != "value"}) + "\n"
+                       for r in self.roots)
 
 
 def _scan_step(V: Potential, k: float) -> float:
@@ -300,6 +293,9 @@ def real_spectrum(V: Potential, k: float, R: float, tol: float = 1e-9,
         raise ValueError(f"unknown method {method!r}")
 
     step = min(_scan_step(V, k), R / 8.0)
+    if 2 * math.ceil(R / step) > _MAX_SCAN_CELLS:
+        raise ScanStepTooCoarse(f"R = {R:g} at scan step {step:.3e} needs more than "
+                                "the cap of 2^20 half-step cells")
     for attempt in range(14):
         n_cells = int(math.ceil(R / step))
         if 2 * n_cells > _MAX_SCAN_CELLS:

@@ -1,16 +1,20 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import zeromodes
 from zeromodes import spectra
-from zeromodes.cli import main, parse_potential, reproduce_example
+from zeromodes.cli import main, reproduce_example
 from zeromodes.errors import UnknownExample
-from zeromodes.potential import AnalyticPotential, PiecewiseConstantPotential
+from zeromodes.potential import AnalyticPotential, PiecewiseConstantPotential, from_record
 from test_spectra import _boundary_roots
 
 
@@ -21,15 +25,18 @@ def run(argv, capsys):
 
 
 def test_parse_potential():
-    V = parse_potential("w:[-1,1]:1")
+    V = from_record("w:[-1,1]:1")
     assert isinstance(V, PiecewiseConstantPotential)
     assert V.breakpoints == (-1.0, 1.0) and V.values == (1.0,)
-    V = parse_potential("w:[-2,-1,0,2]:-1,0,1")
+    V = from_record("w:[-2,-1,0,2]:-1,0,1")
     assert V.values == (-1.0, 0.0, 1.0)
-    assert isinstance(parse_potential("hrp"), AnalyticPotential)
+    assert isinstance(from_record("hrp"), AnalyticPotential)
     for bad in ("w:[-1,1]", "w:(0,1):1", "gauss", "w:[1,0]:1"):
         with pytest.raises(Exception):
-            parse_potential(bad)
+            from_record(bad)
+    # a spec without breakpoints
+    with pytest.raises(ValueError, match="breakpoints"):
+        from_record("w::1")
 
 
 def test_spectrum_real(capsys, tmp_path):
@@ -252,6 +259,25 @@ def test_scan_and_nudge_failures_exit_3(monkeypatch, capsys):
         code, _, err = run(bump + argv, capsys)
         assert code == 3
         assert err.startswith("numerical failure:") and message in err
+
+
+def test_module_entry_point_exit_codes():
+    # `python -m zeromodes` in its own process: the exit status is main()'s code
+    src = str(Path(zeromodes.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+    def run_module(*argv):
+        return subprocess.run([sys.executable, "-m", "zeromodes", "spectrum", *argv],
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    proc = run_module("--potential", "hrp", "--k", "1.5", "--R", "4.5")
+    assert proc.returncode == 0, proc.stderr
+    assert len([json.loads(line) for line in proc.stdout.splitlines()]) == 3
+    proc = run_module("--potential", "w:[1,0]:1", "--k", "1", "--R", "5")
+    assert proc.returncode == 2 and proc.stderr.startswith("error: malformed step potential")
+    proc = run_module("--potential", "w:[-1,1]:1", "--k", "1", "--R", "1e7")
+    assert proc.returncode == 3 and "2^20" in proc.stderr
 
 
 _BUMP = ["-p", "w:[-1,1]:1", "--k", "1"]

@@ -5,8 +5,8 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from zeromodes.closedform import gap_angle_relation_check
-from zeromodes.errors import NonPositiveK
-from zeromodes.potential import build_w, l1_norm, mirror, translate
+from zeromodes.errors import NonPositiveK, StepUnderflow
+from zeromodes.potential import AnalyticPotential, build_w, l1_norm, mirror, translate
 from zeromodes.prufer import (
     choose_truncation,
     delta_curve,
@@ -125,6 +125,21 @@ def test_truncation_bound(sech_well):
     assert truncation_bound(sech_well, 0.0, 2.0) == 0.0
     X = choose_truncation(sech_well, 5.0)
     assert truncation_bound(sech_well, 5.0, X) < 1e-8
+
+
+def test_truncation_grows_past_the_decay_hint():
+    # a hint far inside the tail: the search grows X until the bound holds
+    gauss = AnalyticPotential(lambda x: math.exp(-x * x), decay_hint=0.5)
+    X = choose_truncation(gauss, 3.0)
+    assert X > 4.0
+    assert truncation_bound(gauss, 3.0, X) < 1e-8
+
+
+def test_slowly_decaying_tail_cannot_be_truncated():
+    # the tail integral of 1/(1 + x^2) beyond X is ~2/X, above tol up to X = 1e6
+    lorentz = AnalyticPotential(lambda x: 1.0 / (1.0 + x * x), decay_hint=1.0)
+    with pytest.raises(StepUnderflow, match="decays too slowly"):
+        choose_truncation(lorentz, 1.0)
 
 
 def test_uniform_delta_bound():

@@ -45,6 +45,20 @@ def test_delta_and_determinant_pipelines_agree():
             assert max(abs(x - y) for x, y in zip(a.real_values(), b.real_values())) < 1e-9
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP direction 1: hidden pairs")
+def test_both_pipelines_find_the_close_pairs_of_two_blocks():
+    # two +1 blocks 5 apart: the real roots come in pairs about 0.01 apart,
+    # and D keeps its sign across each pair on every scan grid, so the
+    # determinant pipeline returns no root and raises nothing
+    V = build_w([0.0, 1.0, 6.0, 7.0], [1.0, 0.0, 1.0])
+    want = [2.257283135218, 2.266352115886, 5.007684919934,
+            5.020129588741, 8.034550756335, 8.047615992088]
+    for method in ("delta", "determinant"):
+        got = real_spectrum(V, 1.0, 10.0, method=method).real_values()
+        assert len(got) == len(want)
+        assert max(abs(x - y) for x, y in zip(got, want)) < 1e-8
+
+
 def test_level_on_a_scan_node_is_bracketed_once():
     # the node value pi/2 is the level itself: exactly one of the two cells
     # around the node owns it, whichever way Delta runs
@@ -140,6 +154,16 @@ def test_scan_that_never_stabilises_raises(monkeypatch):
     monkeypatch.setattr(spectra, "delta_grid", lambda V, g, k, slope=False: 1e9 * np.asarray(g))
     with pytest.raises(ScanStepTooCoarse):
         real_spectrum(square_bump(), 1.0, 1.0)
+
+
+def test_range_beyond_the_cell_cap_raises_before_any_evaluation(monkeypatch):
+    # R = 1e7 at the bump's scan step of 0.187 needs ~1e8 half-step cells: the scan
+    # fails at once and names R, the step and the cap
+    calls = []
+    monkeypatch.setattr(spectra, "delta_grid", lambda *args, **kwargs: calls.append(args))
+    with pytest.raises(ScanStepTooCoarse, match=r"R = 1e\+07 at scan step 1\.870e-01 .* 2\^20"):
+        real_spectrum(square_bump(), 1.0, 1e7)
+    assert calls == []
 
 
 def test_refinement_is_batched(monkeypatch):
