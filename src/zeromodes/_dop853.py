@@ -1,8 +1,14 @@
 """Explicit Runge-Kutta pair of order 8(5,3), DOP853 (Hairer, Nørsett &
 Wanner, Solving ODEs I, §II.10), with the step-size control of
-scipy.integrate's DOP853, operation for operation, so a solve returns the
-bits scipy's does.  It keeps no dense output: the end state is all the
-package reads.
+scipy.integrate's DOP853: the same arithmetic, operation for operation and
+in the same order, so a solve returns the bits scipy's does.  It keeps no
+dense output: the end state is all the package reads.
+
+On the small states it is given, NumPy's per-call overhead costs as much as
+the arithmetic, so one solve allocates its buffers once and reuses them for
+every stage and step.  The right-hand side fun(t, y) is handed those
+buffers as y: it must neither keep nor write into them, and what it returns
+is copied before its next call, so it may return one buffer of its own.
 
 The tableau is copied from scipy/integrate/_ivp/dop853_coefficients.py
 (SciPy, BSD-3-Clause licence, Copyright (c) 2001-2002 Enthought, Inc. and
@@ -10,6 +16,8 @@ The tableau is copied from scipy/integrate/_ivp/dop853_coefficients.py
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -84,8 +92,13 @@ E5[[0, 5, 6, 7, 8, 9, 10, 11]] = [
     0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1]
 
 
+def _norm(x):
+    """np.linalg.norm of a vector: the same dot product and root."""
+    return math.sqrt(x.dot(x))
+
+
 def _rms(x):
-    return np.linalg.norm(x) / x.size ** 0.5
+    return _norm(x) / x.size ** 0.5
 
 
 def _initial_step(fun, t0, y0, f0, t1, direction, rtol, atol):
@@ -110,20 +123,34 @@ def solve_ivp(fun, t_span, y0, rtol, atol):
     nonempty state y0; returns the states at the start and the end of the
     last accepted step.
 
-    Each value fun returns is copied before its next call, so fun may write
-    into one buffer and return it.  atol may be one number or one per
-    component (inf drops a component from the error norm).  Raises
-    StepUnderflow when a rejected step falls below ten float spacings at t.
+    The arithmetic is scipy's, and so are the bits.  The buffers are
+    reused across stages and steps, and fun receives them as y: it must
+    neither keep nor write into its y.  Each value fun returns is copied
+    before its next call, so fun may write into one buffer and return it.
+    atol may be one number or one per component (inf drops a component
+    from the error norm).  Raises StepUnderflow when a rejected step falls
+    below ten float spacings at t.
     """
     t0, t1 = map(float, t_span)
-    y = np.asarray(y0, dtype=float)
-    direction = np.sign(t1 - t0)
+    y = np.array(y0, dtype=float)  # a copy: the steps write into y's buffer
+    direction = math.copysign(1.0, t1 - t0)
     K = np.empty((13, y.size))  # the stages, then f at the step's end
+    # stage s: its node as a Python float, the stages before it as columns
+    # and its row of A over them
+    plan = [(s, float(C[s]), K[:s].T, A[s, :s]) for s in range(1, 12)]
+    stages, stages_and_end = K[:12].T, K.T
+    z = np.empty(y.size)  # a stage's state, then the scaled error estimate
+    y_new, scale = np.empty(y.size), np.empty(y.size)
+    hs = np.empty(y.size)  # h in every entry: a ufunc converts a scalar operand per call
+    # in the stage loop, ufuncs bound once and called with positional outs,
+    # and ndarray.dot in place of np.dot's dispatcher: on small states the
+    # lookups and the keyword parsing cost as much as the arithmetic
+    multiply, add = np.multiply, np.add
     K[0] = fun(t0, y)
     h_abs = _initial_step(fun, t0, y, K[0], t1, direction, rtol, atol)
     t = t0
     while direction * (t - t1) < 0:
-        min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
         while True:
@@ -133,18 +160,25 @@ def solve_ivp(fun, t_span, y0, rtol, atol):
             if direction * (t_new - t1) > 0:
                 t_new = t1
             h = t_new - t
-            h_abs = np.abs(h)
-            for s in range(1, 12):
-                K[s] = fun(t + C[s] * h, y + np.dot(K[:s].T, A[s, :s]) * h)
-            y_new = y + h * np.dot(K[:-1].T, B)
-            K[-1] = fun(t + h, y_new)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err5 = np.linalg.norm(np.dot(K.T, E5) / scale) ** 2
-            err3 = np.linalg.norm(np.dot(K.T, E3) / scale) ** 2
+            h_abs = abs(h)
+            hs.fill(h)
+            for s, node, before, row in plan:
+                before.dot(row, z)
+                multiply(z, hs, z)
+                K[s] = fun(t + node * h, add(y, z, z))
+            stages.dot(B, y_new)
+            multiply(y_new, hs, y_new)
+            K[12] = fun(t + h, add(y, y_new, y_new))
+            np.abs(y, out=scale)
+            np.maximum(scale, np.abs(y_new, out=z), out=scale)
+            np.multiply(scale, rtol, out=scale)
+            np.add(atol, scale, out=scale)
+            err5 = _norm(np.divide(stages_and_end.dot(E5, z), scale, out=z)) ** 2
+            err3 = _norm(np.divide(stages_and_end.dot(E3, z), scale, out=z)) ** 2
             if err5 == 0 and err3 == 0:
                 error_norm = 0.0
             else:
-                error_norm = np.abs(h) * err5 / np.sqrt((err5 + 0.01 * err3) * y.size)
+                error_norm = h_abs * err5 / math.sqrt((err5 + 0.01 * err3) * y.size)
             if error_norm < 1:
                 factor = MAX_FACTOR if error_norm == 0 else min(
                     MAX_FACTOR, SAFETY * error_norm ** _EXPONENT)
@@ -152,6 +186,6 @@ def solve_ivp(fun, t_span, y0, rtol, atol):
                 break
             h_abs *= max(MIN_FACTOR, SAFETY * error_norm ** _EXPONENT)
             rejected = True
-        y_old, y, t = y, y_new, t_new
-        K[0] = K[-1]
-    return y_old, y
+        y, y_new, t = y_new, y, t_new
+        K[0] = K[12]
+    return y_new, y

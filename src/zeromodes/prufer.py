@@ -122,7 +122,11 @@ def truncation_bound(V: AnalyticPotential, gamma: float, X: float) -> float:
 
 
 def choose_truncation(V: AnalyticPotential, gamma: float, tol: float = 1e-8) -> float:
-    """Smallest cutoff (by geometric search) keeping the tail defect below tol."""
+    """Cutoff X whose tail defect stays below tol for every coupling in
+    |gamma|'s power-of-two bucket: the first max(decay_hint, 1) * 1.25**j,
+    j = 0, 1, ..., that meets tol at the bucket's top.  It is never below
+    decay_hint (X = 40 on the sech well), so it can exceed the smallest
+    cutoff that meets tol."""
     # round |gamma| up to a power of two so nearby couplings share a cutoff
     return _choose_truncation_bucketed(V, 2.0 ** math.ceil(math.log2(1.0 + abs(gamma))), tol)
 
@@ -221,22 +225,33 @@ def _walk_ode(V, X: float, gammas: np.ndarray, k: float, slope: bool = False):
     m = gammas.size
     n = 2 * m
     y = np.concatenate([np.full(n, math.pi / 4), np.zeros(n if slope else 0)])
-    # the right-hand side writes into these; the stepper copies what it returns
-    v = np.empty((2, 1))
+    # the right-hand side writes into these, through views built once; the
+    # stepper copies what it returns
+    v = np.empty((2, 1))  # V where each branch sits
+    vs = v.reshape(2)
     out = np.empty(y.size)
     rates = out.reshape(-1, 2, m)  # angles, then slopes
-    twice, term = np.empty(n), np.empty(n)
+    potential_rate, angle_rate, slope_rate = rates[0], out[:n], rates[-1]
+    twice = np.empty(y.size)  # twice the whole state, so no slice per call: angles first
+    doubled, term = twice[:n], np.empty(n)
+    term_rows = term.reshape(2, m)
+    # k as arrays, since a ufunc converts a Python scalar operand on every
+    # call; ufuncs bound once and called with positional outs, since on small
+    # states the lookups and the keyword parsing cost as much as the arithmetic
+    ks, k2s = np.full(n, k), np.full(n, 2.0 * k)
+    multiply, add, cos, sin, subtract = np.multiply, np.add, np.cos, np.sin, np.subtract
 
     def rhs(s, state):
-        v[:, 0] = V(X - s), V(s - X)
-        np.multiply(v, gammas, out=rates[0])
-        np.multiply(state[:n], 2.0, out=twice)
-        np.multiply(np.cos(twice, out=term), k, out=term)
-        out[:n] += term
+        vs[0] = V(X - s)
+        vs[1] = V(s - X)
+        multiply(v, gammas, potential_rate)
+        add(state, state, twice)  # the bits of 2.0 * state
+        multiply(cos(doubled, term), ks, term)
+        add(angle_rate, term, angle_rate)
         if slope:
-            np.multiply(np.sin(twice, out=term), 2.0 * k, out=term)
-            np.multiply(term, state[n:], out=term)
-            np.subtract(v, term.reshape(2, m), out=rates[1])
+            multiply(sin(doubled, term), k2s, term)
+            multiply(term, state[n:], term)
+            subtract(v, term_rows, slope_rate)
         return out
 
     shrink = 1.0 / math.sqrt(y.size)
@@ -278,8 +293,10 @@ def delta_grid(V: Potential, gammas: Sequence[float], k: float, slope: bool = Fa
     _check_k(k)
     g = np.asarray(gammas, dtype=float)
     if isinstance(V, AnalyticPotential):
+        if not g.size:  # nothing to solve: the empties of the step kernel
+            return (np.empty(0), np.empty(0)) if slope else np.empty(0)
         # share one cutoff across the grid so the scan is consistent
-        X = choose_truncation(V, float(np.max(np.abs(g), initial=0.0)))
+        X = choose_truncation(V, float(np.max(np.abs(g))))
         return _walk_ode(V.evaluator, X, g, k, slope)
 
     a, b = V.support_hull() or (0.0, 0.0)  # no support: no piece to cross, Delta = 0

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from zeromodes import _dop853, prufer
 from zeromodes.closedform import gap_angle_relation_check
 from zeromodes.errors import NonPositiveK, StepUnderflow
 from zeromodes.potential import AnalyticPotential, build_w, l1_norm, mirror, translate
@@ -292,6 +293,53 @@ def test_fused_solve_keeps_the_branches_apart(sech_well):
             assert abs(d - ref) < 1e-9
     got = real_spectrum(shifted, 1.0, 6.0).real_values()
     assert np.max(np.abs(np.array(got) - np.arange(1.5, 6.0, 1.0))) < 1e-9
+
+
+def _plain_walk_rhs(V, X, gammas, k, slope):
+    """_walk_ode's right-hand side with a fresh array per call, in its state
+    layout: -theta_plus and theta_minus over the couplings, then their
+    slopes."""
+    n = 2 * gammas.size
+
+    def rhs(s, state):
+        v = np.array([V(X - s), V(s - X)])[:, None]
+        u = state[:n].reshape(2, -1)
+        angles = (v * gammas + k * np.cos(2.0 * u)).ravel()
+        if not slope:
+            return angles
+        p = state[n:].reshape(2, -1)
+        return np.concatenate([angles, (v - 2.0 * k * np.sin(2.0 * u) * p).ravel()])
+    return rhs
+
+
+@pytest.mark.parametrize("gammas, slope", [
+    (np.linspace(0.0, 6.0, 177), False),  # real_spectrum's scan grid at k = 1, R = 6
+    (np.arange(1.5, 6.0, 1.0) + 1e-3, True),  # Newton's couplings next to the roots
+], ids=["scan", "refine"])
+def test_walk_ode_keeps_the_bits_of_a_plain_right_hand_side(sech_well, gammas, slope):
+    k, m, n = 1.0, gammas.size, 2 * gammas.size
+    X = choose_truncation(sech_well, gammas.max())
+    y0 = np.concatenate([np.full(n, math.pi / 4), np.zeros(n if slope else 0)])
+    shrink = 1.0 / math.sqrt(y0.size)
+    atol = np.where(np.arange(y0.size) < n, prufer._ODE_ATOL * shrink, np.inf)
+    rtol = prufer._ODE_RTOL * (0.5 if slope else 1.0) * shrink
+    y_old, y = _dop853.solve_ivp(_plain_walk_rhs(sech_well, X, gammas, k, slope), (0.0, X),
+                                 y0, rtol, atol)
+    y = y_old + (y - y_old)
+    want = [-math.pi / 2 + y[:m] + y[m:n]] + ([y[n + m:] + y[n:n + m]] if slope else [])
+    got = prufer._walk_ode(sech_well.evaluator, X, gammas, k, slope)
+    got = list(got) if slope else [got]
+    assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+
+
+@pytest.mark.parametrize("slope", [False, True])
+def test_empty_grid_gives_empty_arrays(sech_well, slope, monkeypatch):
+    monkeypatch.setattr(prufer, "solve_ivp", None)  # no solve may run
+    for V in (sech_well, square_bump()):
+        got = delta_grid(V, [], 1.0, slope=slope)
+        for a in (got if slope else (got,)):
+            assert isinstance(a, np.ndarray) and a.shape == (0,) and a.dtype == float
+        assert delta_curve(V, [], 1.0).delta_values == ()
 
 
 def test_delta_curve_csv(tmp_path):

@@ -435,12 +435,16 @@ def test_sech_well_solve_budget(sech_well, monkeypatch):
     # both branches, and each scan attempt is one evaluation; one solve per
     # branch and a separate coarse scan spent 16 and 24 solves here, and
     # Illinois refinement with a central-difference certificate 7 and 7
-    solves, grids = [], []
+    solves, grids, rhs_calls = [], [], []
     solve, grid = prufer.solve_ivp, spectra.delta_grid
 
-    def counted_solve(*args, **kwargs):
+    def counted_solve(fun, *args, **kwargs):
         solves.append(1)
-        return solve(*args, **kwargs)
+
+        def counted_fun(t, y):
+            rhs_calls.append(1)
+            return fun(t, y)
+        return solve(counted_fun, *args, **kwargs)
 
     def counted_grid(V, g, k, slope=False):
         grids.append(1)
@@ -448,11 +452,15 @@ def test_sech_well_solve_budget(sech_well, monkeypatch):
 
     monkeypatch.setattr(prufer, "solve_ivp", counted_solve)
     monkeypatch.setattr(spectra, "delta_grid", counted_grid)
-    for k in (1.0, 1.5):
+    # and at most the right-hand-side calls these spectra (the bench's
+    # sech-well inputs) take today, exactly
+    for k, rhs_budget in ((1.0, 4410), (1.5, 5742)):
         solves.clear()
         grids.clear()
+        rhs_calls.clear()
         sp = real_spectrum(sech_well, k, 6.0, tol=1e-8)
         assert len(solves) == len(grids) and len(solves) <= 4
+        assert len(rhs_calls) <= rhs_budget
         want = np.arange(k + 0.5, 6.0, 1.0)
         assert np.max(np.abs(np.array(sp.real_values()) - want)) < 1e-9
 
