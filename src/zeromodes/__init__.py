@@ -14,7 +14,7 @@ from .potential import (
 )
 from .prufer import delta_curve, delta_derivative, delta_v, is_eigenvalue
 from .closedform import determinant, piece_transfer
-from .spectra import complex_spectrum, counting_function, phase_grid, real_spectrum
+from .spectra import complex_spectrum, phase_grid, real_spectrum
 from .asymptotics import a_density, compare, nu, parity_normalize, predict
 from .trigzeros import TrigParams, brute_count, rational_density
 

@@ -55,10 +55,6 @@ class BoundaryRoot(ZeromodesError):
     """A root sits (numerically) on the search rectangle boundary."""
 
 
-class RegionTooSmall(ZeromodesError):
-    """Spectrum does not cover the interval the caller asked about."""
-
-
 # --- densities and zero counting ---
 
 class OutOfDomain(ZeromodesError):

@@ -292,6 +292,8 @@ def delta_grid(V: Potential, gammas: Sequence[float], k: float, slope: bool = Fa
     false position interpolated between two)."""
     _check_k(k)
     g = np.asarray(gammas, dtype=float)
+    if not np.isfinite(g).all():
+        raise ValueError(f"couplings must be finite, got {float(g[~np.isfinite(g)][0])}")
     if isinstance(V, AnalyticPotential):
         if not g.size:  # nothing to solve: the empties of the step kernel
             return (np.empty(0), np.empty(0)) if slope else np.empty(0)

@@ -1,5 +1,5 @@
-"""Eigenvalue enumeration: real scan/bisection, complex winding search,
-counting functions, and phase-grid export.
+"""Eigenvalue enumeration: real scan/bisection, complex winding search
+and phase-grid export.
 
 Real couplings are located by one scan -> bracket -> refine driver, shared
 by the defect pipeline (crossings of the half-integer-pi levels by the
@@ -11,15 +11,15 @@ all brackets at once by vectorised Illinois false position, one grid
 evaluation per iteration.  On analytic potentials, where one ODE solve
 gives Delta and its slope, the refiner starts from an inverse cubic
 through the scan nodes and takes Newton steps, with false position as the
-fallback.  trigzeros.scan_zeros reuses the same refiner for its certified
-single-zero cells, and potential.synthesize_one_gap for its one bracket.
-Each bracket holds one crossing, so real roots are never merged.  Complex
-couplings of step potentials are located by the phase winding of the
-matching determinant around rectangles: one flat frontier of boxes per
-level, all split at one fraction, a whole level per kernel call with no
-cache between calls, then Newton batched likewise, with D and its slope
-from one sweep at one point per start.  A contour below the top that meets
-a root restarts the whole search at the next split fraction.
+fallback.  potential.synthesize_one_gap reuses the same refiner for its
+one bracket.  Each bracket holds one crossing, so real roots are never
+merged.  Complex couplings of step potentials are located by the phase
+winding of the matching determinant around rectangles: one flat frontier
+of boxes per level, all split at one fraction, a whole level per kernel
+call with no cache between calls, then Newton batched likewise, with D
+and its slope from one sweep at one point per start.  A contour below the
+top that meets a root restarts the whole search at the next split
+fraction.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ import numpy as np
 from .closedform import determinant
 from .errors import (
     BoundaryRoot,
-    RegionTooSmall,
     ScanStepTooCoarse,
     TrivialPotential,
     WindingMismatch,
@@ -55,7 +54,6 @@ __all__ = [
     "GammaSpectrum",
     "PhaseGrid",
     "real_spectrum",
-    "counting_function",
     "complex_spectrum",
     "phase_grid",
 ]
@@ -334,14 +332,6 @@ def real_spectrum(V: Potential, k: float, R: float, tol: float = 1e-9,
                 return GammaSpectrum(roots, (0.0, R), k)
         step *= 0.5
     raise ScanStepTooCoarse(f"scan failed to stabilise down to step {step:.3e}")
-
-
-def counting_function(spectrum: GammaSpectrum, R: float) -> int:
-    """Number of located real couplings in [0, R]."""
-    region = spectrum.search_region
-    if len(region) != 2 or region[0] > 0.0 or region[1] < R:
-        raise RegionTooSmall(f"spectrum covers {region}, asked about [0, {R}]")
-    return sum(1 for r in spectrum.roots if r.value.imag == 0.0 and r.value.real <= R)
 
 
 # --- complex search by phase winding ------------------------------------------

@@ -10,20 +10,18 @@ the perturbation's own bound on |phi'''| prove each cell empty or holding
 exactly one zero, cells that are neither are halved, and no zero is
 refined (the root exclusion and inclusion tests of interval analysis;
 Moore, Kearfott & Cloud, Introduction to Interval Analysis, SIAM 2009).
-scan_zeros refines the single-zero cells with the batched false-position
-refiner of spectra.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DegenerateEndpoint, NotCoprime, OutOfDomain, UnresolvedCell
-from .spectra import _refine, brentq  # noqa: F401  (brentq: wrapped by bench/tracing.py)
+from .spectra import brentq  # noqa: F401  (brentq: wrapped by bench/tracing.py)
 
 __all__ = [
     "Perturbation",
@@ -32,17 +30,11 @@ __all__ = [
     "angle_constants",
     "f_value",
     "f_deriv",
-    "energy",
-    "tangency_test",
-    "ZeroScan",
-    "scan_zeros",
     "brute_count",
     "multiplicity_m",
     "rational_density",
-    "density_trace",
 ]
 
-_TANGENT_ENERGY = 1e-18  # below this, f and f' count as jointly zero
 _MIN_CELL = 1e-10        # a cell this narrow is not split further
 
 
@@ -85,16 +77,6 @@ def f_value(params: TrigParams, x):
 def f_deriv(params: TrigParams, x):
     out = -np.sin(x) - params.alpha * params.beta * np.sin(params.beta * x)
     return out if params.phi is None else out + params.phi.deriv(x)
-
-
-def energy(params: TrigParams, x):
-    """f^2 + f'^2; vanishes exactly at tangential zeros."""
-    return f_value(params, x) ** 2 + f_deriv(params, x) ** 2
-
-
-def tangency_test(params: TrigParams, x: float) -> bool:
-    """True iff x is (numerically) a joint zero of f and f'."""
-    return float(energy(params, x)) < _TANGENT_ENERGY
 
 
 # --- angle constants of the supercritical regime -------------------------------
@@ -184,41 +166,11 @@ def rational_density(p: int, q: int, alpha: float) -> float:
 # --- direct enumeration ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ZeroScan:
-    """Refined zeros on an interval; tangential ones are also listed separately."""
+def _brackets(params: TrigParams, R: float, grid_step: float) -> np.ndarray:
+    """Certified brackets of the zeros of f on [0, R].
 
-    roots: np.ndarray
-    tangential: tuple[float, ...]
-
-    def count(self) -> int:
-        return int(self.roots.size)
-
-
-def _max_grid_step(beta: float) -> float:
-    return (min(math.pi, math.pi / beta) if beta > 0 else math.pi) / 8.0
-
-
-def _check_scan(params: TrigParams, lo: float, ends: Sequence[float], grid_step: float) -> None:
-    """The input check of scan_zeros, brute_count and density_trace: a finite
-    lo, at least one finite end above it, and 0 < grid_step <= pi/(8 max(1, beta))."""
-    if not math.isfinite(lo):
-        raise ValueError(f"the interval must start at a finite x, got {lo}")
-    if len(ends) == 0:
-        raise ValueError(f"need at least one interval end, got {list(ends)}")
-    for end in ends:
-        if not (math.isfinite(end) and end > lo):
-            raise ValueError(f"interval end must be finite and > {lo}, got {end}")
-    top = _max_grid_step(params.beta)
-    if not (0.0 < grid_step <= top * (1.0 + 1e-12)):
-        raise ValueError(f"grid_step must be in (0, {top:.6g}], got {grid_step}")
-
-
-def _brackets(params: TrigParams, ends: Sequence[float], grid_step: float) -> tuple:
-    """Certified brackets of the zeros of f on [ends[0], ends[-1]].
-
-    The nodes lie at most grid_step apart, and every end is a node.  f, f'
-    and f'' are evaluated at the nodes (f through f_value, f'' as
+    The nodes run from 0 to R, at most grid_step apart.  f, f' and f''
+    are evaluated at the nodes (f through f_value, f'' as
     (beta^2 - 1) cos x - beta^2 f, plus beta^2 phi + phi'' with a
     perturbation) and |f'''| <= M3 = 1 + alpha beta^3 + phi.third_bound
     bounds the Taylor remainders.  A node is resolved where |f| exceeds
@@ -237,20 +189,19 @@ def _brackets(params: TrigParams, ends: Sequence[float], grid_step: float) -> tu
       1e-10 (or four float spacings of b, where those are wider);
     * otherwise halved, all cells of a level through one array call.
 
-    Returns (lo, hi, flo, fhi, cluster), one entry per sign change of f
-    between consecutive resolved nodes, in x order.  cluster marks the
-    brackets with stopped cells in them: each holds an odd number of zeros
-    (a zero of odd multiplicity, such as a triple zero) that double
-    precision cannot separate, counted as one.  Raises UnresolvedCell for
-    an end within rounding of a zero, and for a stopped cell with no sign
-    change within grid_step (an even-order tangency, say).  A stopped cell
-    next to a sign change is accepted: it lies in the rounding band of
-    that zero, where a further pair of zeros cannot be resolved in double
-    precision either.
+    Returns the lower ends of the brackets, one per sign change of f
+    between consecutive resolved nodes, in x order.  A bracket with stopped
+    cells in it holds an odd number of zeros (a zero of odd multiplicity,
+    such as a triple zero) that double precision cannot separate, counted
+    as one.  Raises UnresolvedCell for 0 or R within rounding of a zero,
+    and for a stopped cell with no sign change within grid_step (an
+    even-order tangency, say).  A stopped cell next to a sign change is
+    accepted: it lies in the rounding band of that zero, where a further
+    pair of zeros cannot be resolved in double precision either.
     """
     al, be, phi = params.alpha, params.beta, params.phi
     m3 = 1.0 + al * be ** 3 + (0.0 if phi is None else phi.third_bound)
-    eps = 8.0 * np.finfo(float).eps * (1.0 + al * (1.0 + be * max(abs(ends[0]), abs(ends[-1]))))
+    eps = 8.0 * np.finfo(float).eps * (1.0 + al * (1.0 + be * R))
     eps_d = eps * (1.0 + be)  # the same rounding, differentiated once
 
     def jet(x):
@@ -259,12 +210,9 @@ def _brackets(params: TrigParams, ends: Sequence[float], grid_step: float) -> tu
         c = c if phi is None else c + be * be * phi.value(x) + phi.second_deriv(x)
         return f, f_deriv(params, x), c
 
-    parts = [np.linspace(a, b, int(math.ceil((b - a) / grid_step)) + 1)[:-1]
-             for a, b in zip(ends, ends[1:])]
-    xs = np.concatenate(parts + [ends[-1:]])
+    xs = np.linspace(0.0, R, int(math.ceil(R / grid_step)) + 1)
     f, d, c = jet(xs)
-    at_end = np.cumsum([0] + [p.size for p in parts])
-    unresolved_end = xs[at_end][abs(f[at_end]) <= eps]
+    unresolved_end = xs[[0, -1]][abs(f[[0, -1]]) <= eps]
     if unresolved_end.size:
         raise UnresolvedCell(f"f is within rounding of zero at the interval end "
                              f"x = {unresolved_end[0]!r}")
@@ -306,9 +254,7 @@ def _brackets(params: TrigParams, ends: Sequence[float], grid_step: float) -> tu
     keep = abs(f) > eps
     xr, fr = xs[keep], f[keep]
     change = np.nonzero((fr[:-1] > 0.0) != (fr[1:] > 0.0))[0]
-    cluster = np.zeros(xr.size - 1, dtype=bool)
     a = np.concatenate(stopped)
-    cluster[np.searchsorted(xr, a, side="right") - 1] = True
     # every stopped cell needs a sign change within grid_step
     centre = np.concatenate(([-np.inf], 0.5 * (xr[change] + xr[change + 1]), [np.inf]))
     k = np.searchsorted(centre, a)
@@ -316,52 +262,16 @@ def _brackets(params: TrigParams, ends: Sequence[float], grid_step: float) -> tu
     if not np.all(near):
         raise UnresolvedCell(f"f touches zero near x = {a[~near][0]:.9g} "
                              "without a resolvable sign change")
-    return xr[change], xr[change + 1], fr[change], fr[change + 1], cluster[change]
-
-
-def scan_zeros(params: TrigParams, lo: float, hi: float, grid_step: float) -> ZeroScan:
-    """The zeros of f on [lo, hi], refined to 1e-12.
-
-    The zeros come from the certified brackets of _brackets, on nodes
-    grid_step apart: the single-zero brackets are refined all at once by
-    the batched false-position refiner of spectra, and each stopped
-    cluster (a zero of odd multiplicity) is one zero at its bracket
-    midpoint, listed as tangential.  UnresolvedCell is raised where a zero
-    cannot be told from rounding (see _brackets).
-    """
-    _check_scan(params, lo, [hi], grid_step)
-    a, b, fa, fb, cluster = _brackets(params, [lo, hi], grid_step)
-    roots = 0.5 * (a + b)
-    single = ~cluster
-    roots[single] = _refine(lambda idx, x: f_value(params, x), a[single], b[single],
-                            fa[single], fb[single], 1e-12)[0]
-    return ZeroScan(roots, tuple(roots[cluster].tolist()))
+    return xr[change]
 
 
 def brute_count(params: TrigParams, R: float, grid_step: float) -> int:
     """Number of zeros of f on [0, R]: the number of certified brackets of
-    _brackets (no zero is refined)."""
-    _check_scan(params, 0.0, [R], grid_step)
-    return int(_brackets(params, [0.0, R], grid_step)[0].size)
-
-
-def density_trace(params: TrigParams, R_values: Sequence[float], grid_step: float):
-    """Rows (R, count, count/R), sorted by R, from one count up to max(R_values).
-
-    Every R is a node of the certified brackets, so each row equals
-    brute_count at its R.
-    """
-    Rs = sorted(float(R) for R in R_values)
-    _check_scan(params, 0.0, Rs, grid_step)
-    upper = _brackets(params, np.unique([0.0] + Rs), grid_step)[1]
-    counts = np.searchsorted(upper, Rs, side="right")
-    return [(R, int(c), int(c) / R) for R, c in zip(Rs, counts)]
-
-
-def density_trace_csv(params: TrigParams, R_values: Sequence[float], grid_step: float,
-                      path) -> None:
-    """Write the counting trace as CSV with columns R, count, density."""
-    with open(path, "w") as fh:
-        fh.write("R,count,density\n")
-        for R, c, d in density_trace(params, R_values, grid_step):
-            fh.write(f"{R!r},{c},{d!r}\n")
+    _brackets (no zero is refined).  Needs a finite R > 0 and
+    0 < grid_step <= pi/(8 max(1, beta))."""
+    if not (math.isfinite(R) and R > 0.0):
+        raise ValueError(f"R must be finite and > 0, got {R}")
+    top = (min(math.pi, math.pi / params.beta) if params.beta > 0 else math.pi) / 8.0
+    if not (0.0 < grid_step <= top * (1.0 + 1e-12)):
+        raise ValueError(f"grid_step must be in (0, {top:.6g}], got {grid_step}")
+    return int(_brackets(params, R, grid_step).size)

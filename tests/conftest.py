@@ -14,7 +14,7 @@ from zeromodes.errors import UnresolvedCell
 from zeromodes.potential import build_w, canonicalize, hrp_potential
 from zeromodes.prufer import _lift, _piece_segments
 from zeromodes.spectra import _refine
-from zeromodes.trigzeros import _TANGENT_ENERGY, TrigParams, ZeroScan, energy, f_value
+from zeromodes.trigzeros import TrigParams, f_value
 
 _REF_RTOL = 1e-13  # the ODE reference for the closed-form kernel on step pieces
 _DIP_NOISE = 1e-13  # dips shallower than this drown in evaluation noise
@@ -85,9 +85,9 @@ def sech_well():
     return hrp_potential()
 
 
-def sampled_scan(params: TrigParams, lo: float, hi: float, grid_step: float) -> ZeroScan:
-    """The reference for the certified trig-zero scan: a sign scan oversampled
-    8x, dips by minimization."""
+def sampled_scan(params: TrigParams, lo: float, hi: float, grid_step: float) -> np.ndarray:
+    """The reference for the certified trig-zero count: the sorted zeros of f
+    on [lo, hi] from a sign scan oversampled 8x, dips by minimization."""
     h = grid_step / 8.0
     n = int(math.ceil((hi - lo) / h))
     xs = np.linspace(lo, hi, n + 1)
@@ -106,7 +106,6 @@ def sampled_scan(params: TrigParams, lo: float, hi: float, grid_step: float) -> 
     found, _ = _refine(lambda idx, x: f_value(params, x), xs[cells], xs[cells + 1],
                        vals[cells], vals[cells + 1], 1e-12)
     roots.extend(found.tolist())
-    tangential = tuple(found[energy(params, found) < _TANGENT_ENERGY].tolist())
 
     # near-tangential dips: interior |f| minima below the curvature scale,
     # away from any sign change
@@ -141,4 +140,4 @@ def sampled_scan(params: TrigParams, lo: float, hi: float, grid_step: float) -> 
         if out and r - out[-1] < 1e-9:
             continue
         out.append(r)
-    return ZeroScan(np.array(out), tangential)
+    return np.array(out)

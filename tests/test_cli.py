@@ -1,7 +1,9 @@
 import hashlib
+import importlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import time
@@ -16,6 +18,17 @@ from zeromodes.cli import main, reproduce_example
 from zeromodes.errors import UnknownExample
 from zeromodes.potential import AnalyticPotential, PiecewiseConstantPotential, from_record
 from test_spectra import _boundary_roots
+
+
+def test_every_exported_name_exists():
+    # a star import fails on a name that __all__ lists but the module lacks
+    missing = []
+    for info in pkgutil.iter_modules(zeromodes.__path__):
+        if info.name != "__main__":
+            module = importlib.import_module(f"zeromodes.{info.name}")
+            missing += [f"{info.name}.{n}" for n in getattr(module, "__all__", [])
+                        if not hasattr(module, n)]
+    assert missing == []
 
 
 def run(argv, capsys):

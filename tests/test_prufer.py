@@ -7,7 +7,7 @@ from scipy.integrate import solve_ivp
 from zeromodes import _dop853, prufer
 from zeromodes.closedform import gap_angle_relation_check
 from zeromodes.errors import NonPositiveK, StepUnderflow
-from zeromodes.potential import AnalyticPotential, build_w, l1_norm, mirror, translate
+from zeromodes.potential import AnalyticPotential, build_w, hrp_potential, l1_norm, mirror, translate
 from zeromodes.prufer import (
     choose_truncation,
     delta_curve,
@@ -36,6 +36,16 @@ def test_k_must_be_positive():
         delta_v(square_bump(), 1.0, 0.0)
     with pytest.raises(NonPositiveK):
         delta_v(square_bump(), 1.0, -2.0)
+
+
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("make", [hrp_potential, square_bump], ids=["analytic", "step"])
+def test_non_finite_coupling_is_named(make, gamma):
+    V = make()
+    for call in (lambda: delta_grid(V, [1.0, gamma], 1.0), lambda: delta_v(V, gamma, 1.0),
+                 lambda: delta_derivative(V, gamma, 1.0)):
+        with pytest.raises(ValueError, match=f"got {gamma}"):
+            call()
 
 
 def test_gap_fixed_point():

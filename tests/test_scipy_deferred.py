@@ -1,5 +1,5 @@
 """No public path loads scipy: step and analytic potentials, perturbed trig
-scans and synthesize_one_gap run on numpy alone.  The checks run in a
+counts and synthesize_one_gap run on numpy alone.  The checks run in a
 fresh interpreter, because the test modules themselves import scipy."""
 
 import os
@@ -22,7 +22,7 @@ from zeromodes.asymptotics import compare, predict
 from zeromodes.potential import build_w, hrp_potential, synthesize_one_gap
 from zeromodes.prufer import choose_truncation, delta_derivative, delta_v
 from zeromodes.spectra import complex_spectrum, phase_grid, real_spectrum
-from zeromodes.trigzeros import Perturbation, TrigParams, brute_count, scan_zeros
+from zeromodes.trigzeros import Perturbation, TrigParams, brute_count
 
 
 def loaded():
@@ -64,7 +64,7 @@ phi = Perturbation(value=lambda x: c * bell(x),
                    second_deriv=lambda x: c * (4.0 * ((x - math.pi) / 3.0) ** 2 - 2.0) / 9.0
                    * bell(x),
                    third_bound=c * 3.91 / 27.0)
-assert len(scan_zeros(TrigParams(0.0, 3.0, phi), 0.0, 6.0, 0.1).roots) == 2
+assert brute_count(TrigParams(0.0, 3.0, phi), 6.0, 0.1) == 2
 assert len(synthesize_one_gap(1.0, 2.0, 4.0, k=1.0).breakpoints) == 5
 assert not loaded(), f"{len(loaded())} scipy modules loaded, first {loaded()[0]}"
 """

@@ -11,14 +11,12 @@ from zeromodes import prufer, spectra
 from zeromodes.errors import (
     BoundaryRoot,
     NonPositiveK,
-    RegionTooSmall,
     ScanStepTooCoarse,
     WindingMismatch,
 )
 from zeromodes.potential import build_w, hrp_potential, negate, translate
 from zeromodes.spectra import (
     complex_spectrum,
-    counting_function,
     phase_grid,
     real_spectrum,
 )
@@ -45,7 +43,7 @@ def test_delta_and_determinant_pipelines_agree():
             assert max(abs(x - y) for x, y in zip(a.real_values(), b.real_values())) < 1e-9
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP direction 1: hidden pairs")
+@pytest.mark.xfail(strict=True, reason="ROADMAP direction 4: hidden pairs")
 def test_both_pipelines_find_the_close_pairs_of_two_blocks():
     # two +1 blocks 5 apart: the real roots come in pairs about 0.01 apart,
     # and D keeps its sign across each pair on every scan grid, so the
@@ -206,17 +204,16 @@ def test_zero_potential_empty():
 def test_counting_function(sech_well):
     sp = real_spectrum(sech_well, 1.0, 11.0, tol=1e-8)
     # eigenvalues 1.5, 2.5, ..., 10.5
-    assert counting_function(sp, 11.0) == 10
-    assert counting_function(sp, 10.4) == 9
-    assert counting_function(sp, 1.0) == 0
-    with pytest.raises(RegionTooSmall):
-        counting_function(sp, 20.0)
+    values = sp.real_values()
+    assert sum(v <= 11.0 for v in values) == 10
+    assert sum(v <= 10.4 for v in values) == 9
+    assert sum(v <= 1.0 for v in values) == 0
 
 
 def test_counting_function_single_sign_slope():
     V = square_bump()
     sp = real_spectrum(V, 1.0, 100.0, tol=1e-9)
-    n = counting_function(sp, 100.0)
+    n = len(sp.real_values())
     assert abs(n - (2.0 / math.pi) * 100.0) <= 2.0
 
 

@@ -13,13 +13,9 @@ from zeromodes.trigzeros import (
     TrigParams,
     angle_constants,
     brute_count,
-    density_trace,
-    density_trace_csv,
     f_value,
     multiplicity_m,
     rational_density,
-    scan_zeros,
-    tangency_test,
 )
 
 
@@ -43,14 +39,14 @@ def test_pure_cosine_count():
 
 
 def test_triple_zero_family_counted_once():
+    # alpha = 1/3, beta = 3: f = (4/3) cos(x)^3, a triple zero at each (k + 1/2) pi
     p = TrigParams(1.0 / 3.0, 3.0)
-    scan = scan_zeros(p, 0.0, 100 * math.pi, math.pi / 24)
-    assert scan.count() == 100
-    roots = scan.roots
+    assert brute_count(p, 100 * math.pi, math.pi / 24) == 100
+    roots = sampled_scan(p, 0.0, 100 * math.pi, math.pi / 24)
     expected = (np.arange(100) + 0.5) * math.pi
+    assert roots.size == 100
     # triple zeros condition like cube roots of machine noise
     assert np.max(np.abs(roots - expected)) < 1e-4
-    assert len(scan.tangential) > 0
 
 
 def test_rational_case_density():
@@ -106,12 +102,6 @@ def test_rational_density_identities():
         rational_density(6, 2, 0.9)
 
 
-def test_tangency_examples():
-    assert tangency_test(TrigParams(1.0 / 3.0, 3.0), math.pi / 2)
-    assert not tangency_test(TrigParams(0.5, 3.0), math.pi / 2)
-    assert not tangency_test(TrigParams(0.9, 3.0), 1.2345)
-
-
 def test_subcritical_exact_one_per_interval():
     p = TrigParams(0.5, 1.5)
     n_lo = brute_count(p, 20 * math.pi, math.pi / 12)
@@ -138,29 +128,11 @@ def test_perturbed_count_keeps_density():
     assert abs(n / 4000.0 - exact) / exact < 0.02
 
 
-def test_density_trace_monotone():
-    rows = density_trace(TrigParams(0.9, 3.0), [100.0, 200.0, 400.0], math.pi / 24)
-    counts = [r[1] for r in rows]
-    assert counts == sorted(counts)
-    assert rows[0][0] == 100.0
-    assert rows[-1][2] == pytest.approx(counts[-1] / 400.0)
-
-
 def test_irrational_brute_matches_closed_form_midscale():
     beta = 1.2 * math.sqrt(2)
     pred = a_density(0.9, beta).value / math.pi
     n = brute_count(TrigParams(0.9, beta), 2000.0, min(math.pi, math.pi / beta) / 8)
     assert abs(n / 2000.0 - pred) / pred < 0.02
-
-
-def test_density_trace_csv(tmp_path):
-    path = tmp_path / "trace.csv"
-    density_trace_csv(TrigParams(0.9, 3.0), [50.0, 100.0], math.pi / 24, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "R,count,density"
-    assert len(lines) == 3
-    R, c, d = lines[1].split(",")
-    assert float(d) == int(c) / float(R)
 
 
 def test_degenerate_endpoint_case():
@@ -188,7 +160,7 @@ def test_unresolved_grazing_is_surfaced():
     )
     p = TrigParams(0.5, 3.0, phi)
     with pytest.raises(UnresolvedCell):
-        scan_zeros(p, 20.0, 40.0, math.pi / 24)
+        brute_count(p, 40.0, math.pi / 24)
 
 
 P = TrigParams(0.9, 3.0)
@@ -196,18 +168,15 @@ STEP = math.pi / 24
 
 
 @pytest.mark.parametrize("call, value", [
-    (lambda: density_trace(P, [], STEP), "[]"),
-    (lambda: density_trace(P, [10.0, 0.0], STEP), "0.0"),
-    (lambda: density_trace(P, [-5.0], STEP), "-5.0"),
+    (lambda: brute_count(P, 0.0, STEP), "0.0"),
+    (lambda: brute_count(P, -5.0, STEP), "-5.0"),
     (lambda: brute_count(P, math.inf, STEP), "inf"),
     (lambda: brute_count(P, math.nan, STEP), "nan"),
     (lambda: brute_count(P, 10.0, 0.0), "0.0"),
     (lambda: brute_count(P, 10.0, -1.0), "-1.0"),
     (lambda: brute_count(P, 10.0, math.nan), "nan"),
-    (lambda: scan_zeros(P, 5.0, 5.0, STEP), "5.0"),
-    (lambda: scan_zeros(P, -math.inf, 5.0, STEP), "-inf"),
-], ids=["no-R", "zero-R", "negative-R", "infinite-R", "nan-R", "zero-step", "negative-step",
-        "nan-step", "empty-interval", "infinite-lo"])
+], ids=["zero-R", "negative-R", "infinite-R", "nan-R", "zero-step", "negative-step",
+        "nan-step"])
 def test_bad_scan_input_is_named(call, value):
     with pytest.raises(ValueError, match="got " + re.escape(value)):
         call()
@@ -219,9 +188,6 @@ def test_certified_count_at_bench_input():
 
 def test_certified_count_of_triple_zeros():
     assert brute_count(TrigParams(1.0 / 3.0, 3.0), 100 * math.pi, math.pi / 24) == 100
-    # every triple zero is a stopped cluster, so each is flagged
-    scan = scan_zeros(TrigParams(1.0 / 3.0, 3.0), 0.0, 100 * math.pi, math.pi / 24)
-    assert len(scan.tangential) == 100
 
 
 def test_certified_count_refuses_even_tangency():
@@ -232,11 +198,9 @@ def test_certified_count_refuses_even_tangency():
 
 def test_certified_scan_matches_sampled_roots():
     p = TrigParams(0.9, 3.0)
-    certified = scan_zeros(p, 0.0, 300.0, STEP)
     sampled = sampled_scan(p, 0.0, 300.0, STEP)
-    assert certified.count() == sampled.count()
-    assert np.max(np.abs(certified.roots - sampled.roots)) < 1e-11
-    assert certified.tangential == ()
+    assert np.all(np.diff(sampled) > 0)
+    assert brute_count(p, 300.0, STEP) == sampled.size
 
 
 def test_zero_at_an_interval_end_is_refused():
@@ -250,7 +214,7 @@ def test_zero_at_an_interval_end_is_refused():
 def test_certified_count_matches_sampled_scan(alpha, beta, R):
     step = min(math.pi, math.pi / beta) / 8.0 if beta > 0 else math.pi / 8.0
     try:
-        want = sampled_scan(TrigParams(alpha, beta), 0.0, R, step).count()
+        want = sampled_scan(TrigParams(alpha, beta), 0.0, R, step).size
     except UnresolvedCell:
         reject()
     assert brute_count(TrigParams(alpha, beta), R, step) == want
@@ -263,19 +227,11 @@ def test_perturbed_count_matches_sampled_scan(alpha, beta, R, c, q):
     p = TrigParams(alpha, beta, decaying_sine(c, q))
     step = min(math.pi, math.pi / beta) / 8.0 if beta > 0 else math.pi / 8.0
     try:
-        want = sampled_scan(p, 0.0, R, step).count()
+        want = sampled_scan(p, 0.0, R, step).size
         got = brute_count(p, R, step)
     except UnresolvedCell:
         reject()
     assert got == want
-
-
-def test_density_trace_rows_equal_brute_count():
-    Rs = [37.3, 101.01, 250.7]  # not multiples of the step
-    for params in (P, TrigParams(0.9, 3.0, decaying_sine(0.2, 0.01))):
-        rows = density_trace(params, Rs, STEP)
-        assert [r[0] for r in rows] == Rs
-        assert [r[1] for r in rows] == [brute_count(params, R, STEP) for R in Rs]
 
 
 @pytest.mark.parametrize("bound", [math.nan, math.inf, -1.0])
