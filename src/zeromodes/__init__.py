@@ -12,7 +12,7 @@ from .potential import (
     one_gap_params,
     synthesize_one_gap,
 )
-from .prufer import delta_curve, delta_derivative, delta_v, is_eigenvalue
+from .prufer import delta_derivative, delta_v, is_eigenvalue
 from .closedform import determinant, piece_transfer
 from .spectra import complex_spectrum, phase_grid, real_spectrum
 from .asymptotics import a_density, compare, nu, parity_normalize, predict

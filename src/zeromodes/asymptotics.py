@@ -56,6 +56,8 @@ def nu(alpha: float, beta: float) -> float:
     """
     if not (0.0 < alpha < 1.0):
         raise OutOfDomain(f"alpha must be in (0, 1), got {alpha}")
+    if not math.isfinite(beta):
+        raise OutOfDomain(f"beta must be finite, got {beta}")
     if alpha * beta <= 1.0:
         raise OutOfDomain(f"alpha*beta = {alpha * beta} <= 1")
     b2m1 = beta * beta - 1.0
@@ -123,8 +125,8 @@ def a_density(alpha: float, beta: float,
     """
     if not (0.0 < alpha < 1.0):
         raise OutOfDomain(f"alpha must be in (0, 1), got {alpha}")
-    if beta < 0:
-        raise OutOfDomain("beta must be >= 0")
+    if not (0.0 <= beta < math.inf):
+        raise OutOfDomain(f"beta must be finite and >= 0, got {beta}")
     prod = alpha * beta
     if abs(prod - 1.0) < 1e-9:
         raise CriticalProduct("alpha*beta == 1 is excluded from every branch")

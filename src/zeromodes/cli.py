@@ -195,8 +195,7 @@ def _sech_well_bundle(outdir: Path) -> list[str]:
     for k in (1.0, 1.5):
         tag = f"2.5_k{k:g}"
         gs = np.linspace(0.0, 6.0, 241)
-        curve = prufer.delta_curve(V, gs, k)
-        rows = [(g, math.cos(d)) for g, d in zip(curve.gammas, curve.delta_values)]
+        rows = [(g, math.cos(d)) for g, d in zip(gs, prufer.delta_grid(V, gs, k).tolist())]
         _write_curve_csv(outdir / f"{tag}_cosdelta.csv", "gamma,cos_delta", rows)
         sp = spectra.real_spectrum(V, k, 6.0, tol=1e-8)
         _emit(outdir / f"{tag}_roots.jsonl", sp.to_json_lines())

@@ -46,9 +46,6 @@ __all__ = [
     "one_gap_params",
     "synthesize_one_gap",
     "hrp_potential",
-    "translate",
-    "negate",
-    "mirror",
     "to_record",
     "from_record",
 ]
@@ -354,31 +351,6 @@ def _sech_well(x: float) -> float:
 def hrp_potential() -> AnalyticPotential:
     """The analytic reference well -1/cosh(x); tail beyond |x|=40 is < 1e-16."""
     return AnalyticPotential(_sech_well, decay_hint=40.0, name="hrp")
-
-
-def translate(V: Potential, c: float) -> Potential:
-    """Shift the potential by c: x -> V(x - c)."""
-    if isinstance(V, PiecewiseConstantPotential):
-        return PiecewiseConstantPotential(tuple(b + c for b in V.breakpoints), V.values)
-    f = V.evaluator
-    return AnalyticPotential(lambda x: f(x - c), V.decay_hint + abs(c))
-
-
-def negate(V: Potential) -> Potential:
-    """Pointwise sign flip."""
-    if isinstance(V, PiecewiseConstantPotential):
-        return PiecewiseConstantPotential(V.breakpoints, tuple(-v for v in V.values))
-    f = V.evaluator
-    return AnalyticPotential(lambda x: -f(x), V.decay_hint)
-
-
-def mirror(V: Potential) -> Potential:
-    """Spatial reflection: x -> V(-x)."""
-    if isinstance(V, PiecewiseConstantPotential):
-        bp = tuple(-b for b in reversed(V.breakpoints))
-        return PiecewiseConstantPotential(bp, tuple(reversed(V.values)))
-    f = V.evaluator
-    return AnalyticPotential(lambda x: f(-x), V.decay_hint)
 
 
 # --- text form ----------------------------------------------------------------

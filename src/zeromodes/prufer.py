@@ -44,9 +44,8 @@ scalar entry points are calls on arrays of size 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -63,14 +62,12 @@ from .potential import (
 )
 
 __all__ = [
-    "DeltaCurve",
     "EigenvalueCheck",
     "tail_angle_bound",
     "truncation_bound",
     "choose_truncation",
     "delta_v",
     "delta_grid",
-    "delta_curve",
     "is_eigenvalue",
     "delta_derivative",
 ]
@@ -83,21 +80,6 @@ class EigenvalueCheck(NamedTuple):
     is_root: bool
     residual: float
     delta: float
-
-
-@dataclass(frozen=True)
-class DeltaCurve:
-    """Sampled matching defect on a coupling grid."""
-
-    gammas: tuple[float, ...]
-    delta_values: tuple[float, ...]
-    method: str  # "exact-piecewise" or "adaptive-ode"
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("gamma,delta,method\n")
-            for g, d in zip(self.gammas, self.delta_values):
-                fh.write(f"{g!r},{d!r},{self.method}\n")
 
 
 def tail_angle_bound(a: float) -> float:
@@ -304,13 +286,6 @@ def delta_grid(V: Potential, gammas: Sequence[float], k: float, slope: bool = Fa
     a, b = V.support_hull() or (0.0, 0.0)  # no support: no piece to cross, Delta = 0
     lift = _lift(canonicalize(V), g, -math.pi / 4, b, a, k, slope)
     return (-math.pi / 4 - lift[0], -lift[1]) if slope else -math.pi / 4 - lift
-
-
-def delta_curve(V: Potential, gammas: Iterable[float], k: float) -> DeltaCurve:
-    g = tuple(float(x) for x in gammas)
-    vals = delta_grid(V, g, k)
-    method = "exact-piecewise" if isinstance(V, PiecewiseConstantPotential) else "adaptive-ode"
-    return DeltaCurve(g, tuple(float(v) for v in vals), method)
 
 
 def _halfint_distance(delta: float) -> float:

@@ -1,22 +1,21 @@
-"""Zero counting for f(x) = cos(x) + alpha*cos(beta*x) + phi(x).
+"""Zero counting for f(x) = cos(x) + alpha*cos(beta*x).
 
 This is the elementary model problem behind the one-gap counting law: the
 asymptotic zero density of f equals A(alpha, beta) / pi, with an exact
 finite-sum expression when beta is rational.  brute_count enumerates zeros
 directly and serves as the independent oracle for the closed-form
 densities.  It counts certified cells: on nodes grid_step apart, Taylor
-bounds from f, f' and f'' at the nodes and |f'''| <= 1 + alpha*beta^3 plus
-the perturbation's own bound on |phi'''| prove each cell empty or holding
-exactly one zero, cells that are neither are halved, and no zero is
-refined (the root exclusion and inclusion tests of interval analysis;
-Moore, Kearfott & Cloud, Introduction to Interval Analysis, SIAM 2009).
+bounds from f, f' and f'' at the nodes and |f'''| <= 1 + alpha*beta^3
+prove each cell empty or holding exactly one zero, cells that are neither
+are halved, and no zero is refined (the root exclusion and inclusion tests
+of interval analysis; Moore, Kearfott & Cloud, Introduction to Interval
+Analysis, SIAM 2009).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -24,14 +23,12 @@ from .errors import DegenerateEndpoint, NotCoprime, OutOfDomain, UnresolvedCell
 from .spectra import brentq  # noqa: F401  (brentq: wrapped by bench/tracing.py)
 
 __all__ = [
-    "Perturbation",
     "TrigParams",
     "AngleConstants",
     "angle_constants",
     "f_value",
     "f_deriv",
     "brute_count",
-    "multiplicity_m",
     "rational_density",
 ]
 
@@ -39,44 +36,23 @@ _MIN_CELL = 1e-10        # a cell this narrow is not split further
 
 
 @dataclass(frozen=True)
-class Perturbation:
-    """Decaying perturbation phi with its first two derivatives, and
-    third_bound >= |phi'''(x)| for every real x.
-
-    Callables must accept floats and numpy arrays.
-    """
-
-    value: Callable
-    deriv: Callable
-    second_deriv: Callable
-    third_bound: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.third_bound) and self.third_bound >= 0.0):
-            raise OutOfDomain(f"third_bound must be finite and >= 0, got {self.third_bound}")
-
-
-@dataclass(frozen=True)
 class TrigParams:
     alpha: float
     beta: float
-    phi: Optional[Perturbation] = None
 
     def __post_init__(self):
         if not (0.0 <= self.alpha < 1.0):
             raise OutOfDomain(f"alpha must be in [0, 1), got {self.alpha}")
-        if self.beta < 0.0:
-            raise OutOfDomain(f"beta must be >= 0, got {self.beta}")
+        if not (0.0 <= self.beta < math.inf):
+            raise OutOfDomain(f"beta must be finite and >= 0, got {self.beta}")
 
 
 def f_value(params: TrigParams, x):
-    out = np.cos(x) + params.alpha * np.cos(params.beta * x)
-    return out if params.phi is None else out + params.phi.value(x)
+    return np.cos(x) + params.alpha * np.cos(params.beta * x)
 
 
 def f_deriv(params: TrigParams, x):
-    out = -np.sin(x) - params.alpha * params.beta * np.sin(params.beta * x)
-    return out if params.phi is None else out + params.phi.deriv(x)
+    return -np.sin(x) - params.alpha * params.beta * np.sin(params.beta * x)
 
 
 # --- angle constants of the supercritical regime -------------------------------
@@ -84,7 +60,7 @@ def f_deriv(params: TrigParams, x):
 
 @dataclass(frozen=True)
 class AngleConstants:
-    """Branch angles controlling the per-period zero multiplicity.
+    """Branch angles of the supercritical zero density.
 
     xi + xi_prime == eta + eta_prime == pi/2, mu = beta*xi - eta_prime, and
     the window J (length 2*mu) collects the phase offsets contributing
@@ -98,10 +74,6 @@ class AngleConstants:
     mu: float
     j_lo: float
     j_hi: float
-
-    @property
-    def nu(self) -> float:
-        return 1.0 + (2.0 / math.pi) * self.mu
 
 
 def angle_constants(alpha: float, beta: float) -> AngleConstants:
@@ -117,29 +89,10 @@ def angle_constants(alpha: float, beta: float) -> AngleConstants:
     return AngleConstants(xi, eta, xi_p, eta_p, mu, center - mu, center + mu)
 
 
-def _window_weight(c: AngleConstants, x: float, tol: float) -> float:
-    # half-at-endpoints indicator of (j_lo, j_hi)
-    if abs(x - c.j_lo) < tol or abs(x - c.j_hi) < tol:
-        return 0.5
-    return 1.0 if c.j_lo < x < c.j_hi else 0.0
-
-
-def multiplicity_m(t: float, constants: AngleConstants) -> float:
-    """Zeros of cos(x) + alpha*cos(beta*x + t) in one half period [0, pi):
-    1 + 2 * sum over the lattice of window weights at t - 2*pi*n."""
-    c = constants
-    n_lo = math.floor((t - c.j_hi) / math.tau) - 1
-    n_hi = math.ceil((t - c.j_lo) / math.tau) + 1
-    total = 0.0
-    for n in range(n_lo, n_hi + 1):
-        total += _window_weight(c, t - math.tau * n, 1e-12)
-    return 1.0 + 2.0 * total
-
-
 def rational_density(p: int, q: int, alpha: float) -> float:
     """Exact asymptotic zero density for beta = p/q (coprime), alpha*beta > 1:
 
-        (1/pi) * (1 + (2/q) * sum_n weight(2 pi n / q)).
+        (1/pi) * (1 + (2/q) * #{n : j_lo < 2 pi n / q < j_hi}).
 
     Raises DegenerateEndpoint when a lattice point lands on the window
     boundary (the excluded arithmetic case).
@@ -159,7 +112,7 @@ def rational_density(p: int, q: int, alpha: float) -> float:
         x = math.tau * n / q
         if abs(x - c.j_lo) < 1e-9 or abs(x - c.j_hi) < 1e-9:
             raise DegenerateEndpoint(f"lattice point 2*pi*{n}/{q} hits the window boundary")
-        total += _window_weight(c, x, 0.0)
+        total += c.j_lo < x < c.j_hi
     return (1.0 + 2.0 * total / q) / math.pi
 
 
@@ -171,13 +124,10 @@ def _brackets(params: TrigParams, R: float, grid_step: float) -> np.ndarray:
 
     The nodes run from 0 to R, at most grid_step apart.  f, f' and f''
     are evaluated at the nodes (f through f_value, f'' as
-    (beta^2 - 1) cos x - beta^2 f, plus beta^2 phi + phi'' with a
-    perturbation) and |f'''| <= M3 = 1 + alpha beta^3 + phi.third_bound
+    (beta^2 - 1) cos x - beta^2 f) and |f'''| <= M3 = 1 + alpha beta^3
     bounds the Taylor remainders.  A node is resolved where |f| exceeds
-    eps, a bound on the rounding of f and of the derivative terms below.
-    eps counts a few ulps of each cosine term; it assumes that phi, phi'
-    and phi'' are evaluated to within as few ulps of 1, which holds for a
-    phi of size at most about 1 computed without cancellation.  A cell
+    eps, a bound on the rounding of f and of the derivative terms below:
+    eps counts a few ulps of each cosine term.  A cell
     [a, b] of half width t is
 
     * empty if f has one sign at both resolved ends and the concave lower
@@ -199,15 +149,14 @@ def _brackets(params: TrigParams, R: float, grid_step: float) -> np.ndarray:
     accepted: it lies in the rounding band of that zero, where a further
     pair of zeros cannot be resolved in double precision either.
     """
-    al, be, phi = params.alpha, params.beta, params.phi
-    m3 = 1.0 + al * be ** 3 + (0.0 if phi is None else phi.third_bound)
+    al, be = params.alpha, params.beta
+    m3 = 1.0 + al * be ** 3
     eps = 8.0 * np.finfo(float).eps * (1.0 + al * (1.0 + be * R))
     eps_d = eps * (1.0 + be)  # the same rounding, differentiated once
 
     def jet(x):
         f = f_value(params, x)
         c = (be * be - 1.0) * np.cos(x) - be * be * f
-        c = c if phi is None else c + be * be * phi.value(x) + phi.second_deriv(x)
         return f, f_deriv(params, x), c
 
     xs = np.linspace(0.0, R, int(math.ceil(R / grid_step)) + 1)

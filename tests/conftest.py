@@ -1,6 +1,6 @@
-"""Shared potential families, phase walks, the Frechet-derivative reference
-for the matching determinant and the sampled trig-zero scan used across the
-test suite."""
+"""Shared potential families and their translate/negate/mirror copies,
+phase walks, the Frechet-derivative reference for the matching determinant
+and the sampled trig-zero scan used across the test suite."""
 
 import math
 
@@ -11,7 +11,13 @@ from scipy.linalg import expm_frechet
 from scipy.optimize import brentq, minimize_scalar
 
 from zeromodes.errors import UnresolvedCell
-from zeromodes.potential import build_w, canonicalize, hrp_potential
+from zeromodes.potential import (
+    AnalyticPotential,
+    PiecewiseConstantPotential,
+    build_w,
+    canonicalize,
+    hrp_potential,
+)
 from zeromodes.prufer import _lift, _piece_segments
 from zeromodes.spectra import _refine
 from zeromodes.trigzeros import TrigParams, f_value
@@ -45,6 +51,31 @@ def twin_gap(g: float):
         return build_w([-2.0, -1.0, 1.0, 2.0], [-1.0, 1.0, -1.0])
     return build_w([-g - 2.0, -g - 1.0, -1.0, 1.0, g + 1.0, g + 2.0],
                    [-1.0, 0.0, 1.0, 0.0, -1.0])
+
+
+def translate(V, c: float):
+    """Shift the potential by c: x -> V(x - c)."""
+    if isinstance(V, PiecewiseConstantPotential):
+        return PiecewiseConstantPotential(tuple(b + c for b in V.breakpoints), V.values)
+    f = V.evaluator
+    return AnalyticPotential(lambda x: f(x - c), V.decay_hint + abs(c))
+
+
+def negate(V):
+    """Pointwise sign flip."""
+    if isinstance(V, PiecewiseConstantPotential):
+        return PiecewiseConstantPotential(V.breakpoints, tuple(-v for v in V.values))
+    f = V.evaluator
+    return AnalyticPotential(lambda x: -f(x), V.decay_hint)
+
+
+def mirror(V):
+    """Spatial reflection: x -> V(-x)."""
+    if isinstance(V, PiecewiseConstantPotential):
+        bp = tuple(-b for b in reversed(V.breakpoints))
+        return PiecewiseConstantPotential(bp, tuple(reversed(V.values)))
+    f = V.evaluator
+    return AnalyticPotential(lambda x: f(-x), V.decay_hint)
 
 
 def frechet_chain(V, gamma, k):

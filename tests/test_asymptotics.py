@@ -49,6 +49,13 @@ def test_nu_domain():
         nu(1.2, 2.0)
 
 
+@pytest.mark.parametrize("fn", [nu, a_density], ids=["nu", "a_density"])
+@pytest.mark.parametrize("beta", [math.nan, math.inf])
+def test_non_finite_beta_is_out_of_domain(fn, beta):
+    with pytest.raises(OutOfDomain, match="beta must be finite"):
+        fn(0.5, beta)
+
+
 def test_parity_normalize():
     def pq(p, q):
         n = parity_normalize(p, q)

@@ -22,15 +22,20 @@ from zeromodes.potential import (
     hrp_potential,
     integral,
     l1_norm,
-    mirror,
-    negate,
     one_gap_params,
     synthesize_one_gap,
     tail_l1,
     to_record,
-    translate,
 )
-from conftest import antisymmetric_pair, gap_pair, square_bump, twin_gap
+from conftest import (
+    antisymmetric_pair,
+    gap_pair,
+    mirror,
+    negate,
+    square_bump,
+    translate,
+    twin_gap,
+)
 
 
 def test_build_w_evaluation():

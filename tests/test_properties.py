@@ -5,10 +5,10 @@ from itertools import accumulate
 
 from hypothesis import assume, given, settings, strategies as st
 
-from zeromodes.potential import build_w, l1_norm, mirror, negate, translate
+from zeromodes.potential import build_w, l1_norm
 from zeromodes.prufer import delta_derivative, delta_v, tail_angle_bound
 from zeromodes.spectra import real_spectrum
-from conftest import lift_angle, ode_angle
+from conftest import lift_angle, mirror, negate, ode_angle, translate
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=40, database=None)
 

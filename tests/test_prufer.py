@@ -7,10 +7,9 @@ from scipy.integrate import solve_ivp
 from zeromodes import _dop853, prufer
 from zeromodes.closedform import gap_angle_relation_check
 from zeromodes.errors import NonPositiveK, StepUnderflow
-from zeromodes.potential import AnalyticPotential, build_w, hrp_potential, l1_norm, mirror, translate
+from zeromodes.potential import AnalyticPotential, build_w, hrp_potential, l1_norm
 from zeromodes.prufer import (
     choose_truncation,
-    delta_curve,
     delta_derivative,
     delta_grid,
     delta_v,
@@ -19,7 +18,16 @@ from zeromodes.prufer import (
     truncation_bound,
 )
 from zeromodes.spectra import real_spectrum
-from conftest import antisymmetric_pair, gap_pair, lift_angle, ode_angle, square_bump, twin_gap
+from conftest import (
+    antisymmetric_pair,
+    gap_pair,
+    lift_angle,
+    mirror,
+    ode_angle,
+    square_bump,
+    translate,
+    twin_gap,
+)
 
 
 def test_delta_at_zero_coupling():
@@ -349,16 +357,3 @@ def test_empty_grid_gives_empty_arrays(sech_well, slope, monkeypatch):
         got = delta_grid(V, [], 1.0, slope=slope)
         for a in (got if slope else (got,)):
             assert isinstance(a, np.ndarray) and a.shape == (0,) and a.dtype == float
-        assert delta_curve(V, [], 1.0).delta_values == ()
-
-
-def test_delta_curve_csv(tmp_path):
-    V = square_bump()
-    curve = delta_curve(V, [0.0, 1.0, 2.0], 1.0)
-    path = tmp_path / "curve.csv"
-    curve.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "gamma,delta,method"
-    assert len(lines) == 4
-    assert lines[1].endswith("exact-piecewise")
-    assert float(lines[1].split(",")[1]) == pytest.approx(0.0, abs=1e-12)

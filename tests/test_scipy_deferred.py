@@ -1,5 +1,5 @@
-"""No public path loads scipy: step and analytic potentials, perturbed trig
-counts and synthesize_one_gap run on numpy alone.  The checks run in a
+"""No public path loads scipy: step and analytic potentials, trig counts
+and synthesize_one_gap run on numpy alone.  The checks run in a
 fresh interpreter, because the test modules themselves import scipy."""
 
 import os
@@ -13,8 +13,6 @@ SCRIPT = r"""
 import math
 import sys
 
-import numpy as np
-
 import zeromodes, zeromodes.cli
 assert "fractions" not in sys.modules  # detect_rational loads it on first use
 from zeromodes import cli
@@ -22,7 +20,7 @@ from zeromodes.asymptotics import compare, predict
 from zeromodes.potential import build_w, hrp_potential, synthesize_one_gap
 from zeromodes.prufer import choose_truncation, delta_derivative, delta_v
 from zeromodes.spectra import complex_spectrum, phase_grid, real_spectrum
-from zeromodes.trigzeros import Perturbation, TrigParams, brute_count
+from zeromodes.trigzeros import TrigParams, brute_count
 
 
 def loaded():
@@ -54,17 +52,6 @@ assert delta_derivative(well, 1.0, 1.0) < 0  # the well is negative
 assert len(real_spectrum(well, 1.0, 6.0).roots) == 5
 assert cli.main(["spectrum", "--potential", "hrp", "--k", "1", "--R", "6",
                  "--out", out + "/hrp.jsonl"]) == 0
-
-# a bell that lifts f = cos(x) to -1e-7 at pi and above 0 around it: two
-# zeros 1e-3 apart; max |d^3/du^3 exp(-u^2)| < 3.91 bounds its phi'''
-c = 1.0 - 1e-7
-bell = lambda x: np.exp(-(((x - math.pi) / 3.0) ** 2))
-phi = Perturbation(value=lambda x: c * bell(x),
-                   deriv=lambda x: -2.0 * c * (x - math.pi) / 9.0 * bell(x),
-                   second_deriv=lambda x: c * (4.0 * ((x - math.pi) / 3.0) ** 2 - 2.0) / 9.0
-                   * bell(x),
-                   third_bound=c * 3.91 / 27.0)
-assert brute_count(TrigParams(0.0, 3.0, phi), 6.0, 0.1) == 2
 assert len(synthesize_one_gap(1.0, 2.0, 4.0, k=1.0).breakpoints) == 5
 assert not loaded(), f"{len(loaded())} scipy modules loaded, first {loaded()[0]}"
 """

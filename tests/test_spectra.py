@@ -14,13 +14,21 @@ from zeromodes.errors import (
     ScanStepTooCoarse,
     WindingMismatch,
 )
-from zeromodes.potential import build_w, hrp_potential, negate, translate
+from zeromodes.potential import build_w, hrp_potential
 from zeromodes.spectra import (
     complex_spectrum,
     phase_grid,
     real_spectrum,
 )
-from conftest import antisymmetric_pair, frechet_chain, gap_pair, square_bump, twin_gap
+from conftest import (
+    antisymmetric_pair,
+    frechet_chain,
+    gap_pair,
+    negate,
+    square_bump,
+    translate,
+    twin_gap,
+)
 from test_closedform import bump_oracle_roots
 
 

@@ -8,30 +8,7 @@ from hypothesis import given, reject, settings, strategies as st
 from conftest import sampled_scan
 from zeromodes.asymptotics import a_density
 from zeromodes.errors import DegenerateEndpoint, NotCoprime, OutOfDomain, UnresolvedCell
-from zeromodes.trigzeros import (
-    Perturbation,
-    TrigParams,
-    angle_constants,
-    brute_count,
-    f_value,
-    multiplicity_m,
-    rational_density,
-)
-
-
-def decaying_sine(c, q):
-    """phi = c sin(x) w(x), w = 1 / (1 + q x^2), with exact phi' and phi''.
-    With s = sqrt(q) x, max |dw/ds| = 3 sqrt(3)/8 < 2/3, max |d2w/ds2| = 2
-    and max |d3w/ds3| < 4.67, so |phi'''| <= |c| (|w| + 3|w'| + 3|w''| + |w'''|)
-    <= |c| (1 + 2 sqrt(q) + 6 q + 5 q^1.5)."""
-    d = lambda x: 1.0 + q * x * x
-    return Perturbation(
-        value=lambda x: c * np.sin(x) / d(x),
-        deriv=lambda x: c * (np.cos(x) / d(x) - np.sin(x) * 2.0 * q * x / d(x) ** 2),
-        second_deriv=lambda x: c * (-np.sin(x) / d(x) - 4.0 * q * x * np.cos(x) / d(x) ** 2
-                                    + np.sin(x) * q * (6.0 * q * x * x - 2.0) / d(x) ** 3),
-        third_bound=abs(c) * (1.0 + 2.0 * math.sqrt(q) + 6.0 * q + 5.0 * q ** 1.5),
-    )
+from zeromodes.trigzeros import TrigParams, angle_constants, brute_count, rational_density
 
 
 def test_pure_cosine_count():
@@ -59,8 +36,9 @@ def test_rational_case_density():
 def test_param_validation():
     with pytest.raises(OutOfDomain):
         TrigParams(1.0, 2.0)
-    with pytest.raises(OutOfDomain):
-        TrigParams(0.5, -1.0)
+    for beta in (-1.0, math.nan, math.inf):
+        with pytest.raises(OutOfDomain, match="finite and >= 0"):
+            TrigParams(0.5, beta)
     with pytest.raises(ValueError):
         brute_count(TrigParams(0.5, 3.0), 10.0, 1.0)  # grid too coarse
 
@@ -73,18 +51,9 @@ def test_angle_constants_consistency():
         assert abs(c.xi + c.xi_prime - math.pi / 2) < 1e-14
         assert abs(c.eta + c.eta_prime - math.pi / 2) < 1e-14
         assert abs((c.j_hi - c.j_lo) - 2 * c.mu) < 1e-12
-        assert abs(c.nu - nu(a, b)) < 1e-12
+        assert abs(1.0 + (2.0 / math.pi) * c.mu - nu(a, b)) < 1e-12
     with pytest.raises(OutOfDomain):
         angle_constants(0.3, 2.0)
-
-
-def test_multiplicity_values():
-    c = angle_constants(0.9, 3.0)
-    mid = 0.5 * (c.j_lo + c.j_hi)
-    assert multiplicity_m(mid, c) == 3.0
-    assert multiplicity_m(mid + math.pi, c) == 1.0  # complement of the window
-    assert multiplicity_m(c.j_lo, c) == 2.0
-    assert multiplicity_m(c.j_hi + 6 * math.tau, c) == 2.0  # lattice periodicity
 
 
 def test_rational_density_identities():
@@ -121,13 +90,6 @@ def test_product_identity_near_alpha_one():
     assert n == n_prod
 
 
-def test_perturbed_count_keeps_density():
-    p = TrigParams(0.9, 3.0, decaying_sine(0.2, 0.01))
-    exact = rational_density(3, 1, 0.9)
-    n = brute_count(p, 4000.0, math.pi / 24)
-    assert abs(n / 4000.0 - exact) / exact < 0.02
-
-
 def test_irrational_brute_matches_closed_form_midscale():
     beta = 1.2 * math.sqrt(2)
     pred = a_density(0.9, beta).value / math.pi
@@ -139,28 +101,6 @@ def test_degenerate_endpoint_case():
     # nu(0.8, 5) == 3, so the window endpoints land on the lattice
     with pytest.raises(DegenerateEndpoint):
         rational_density(5, 1, 0.8)
-
-
-def test_unresolved_grazing_is_surfaced():
-    # adversarial perturbation flattening f to ~1e-14 on a plateau: the scan
-    # must refuse to guess the count there
-    base = TrigParams(0.5, 3.0)
-    w = lambda x: np.exp(-(((x - 30.0) / 1.5) ** 4))
-    wp = lambda x: -4.0 * ((x - 30.0) / 1.5) ** 3 / 1.5 * w(x)
-    wpp = lambda x: (16.0 * ((x - 30.0) / 1.5) ** 6 - 12.0 * ((x - 30.0) / 1.5) ** 2) / 2.25 * w(x)
-    f0 = lambda x: f_value(base, x)
-    f0p = lambda x: -np.sin(x) - 1.5 * np.sin(3.0 * x)
-    f0pp = lambda x: -np.cos(x) - 4.5 * np.cos(3.0 * x)
-    # |f0^(n)| <= 1 + 0.5 * 3^n, and |w'|, |w''|, |w'''| < 1.02, 1.71, 6.35
-    phi = Perturbation(
-        value=lambda x: -f0(x) * w(x) + 1e-14,
-        deriv=lambda x: -f0p(x) * w(x) - f0(x) * wp(x),
-        second_deriv=lambda x: -f0pp(x) * w(x) - 2.0 * f0p(x) * wp(x) - f0(x) * wpp(x),
-        third_bound=14.5 + 3.0 * 5.5 * 1.02 + 3.0 * 2.5 * 1.71 + 1.5 * 6.35,
-    )
-    p = TrigParams(0.5, 3.0, phi)
-    with pytest.raises(UnresolvedCell):
-        brute_count(p, 40.0, math.pi / 24)
 
 
 P = TrigParams(0.9, 3.0)
@@ -218,23 +158,3 @@ def test_certified_count_matches_sampled_scan(alpha, beta, R):
     except UnresolvedCell:
         reject()
     assert brute_count(TrigParams(alpha, beta), R, step) == want
-
-
-@settings(derandomize=True, deadline=None, max_examples=40, database=None)
-@given(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 4.0), st.floats(1.0, 200.0),
-       st.floats(-0.5, 0.5), st.floats(1e-4, 1.0))
-def test_perturbed_count_matches_sampled_scan(alpha, beta, R, c, q):
-    p = TrigParams(alpha, beta, decaying_sine(c, q))
-    step = min(math.pi, math.pi / beta) / 8.0 if beta > 0 else math.pi / 8.0
-    try:
-        want = sampled_scan(p, 0.0, R, step).size
-        got = brute_count(p, R, step)
-    except UnresolvedCell:
-        reject()
-    assert got == want
-
-
-@pytest.mark.parametrize("bound", [math.nan, math.inf, -1.0])
-def test_bad_third_bound_is_named(bound):
-    with pytest.raises(OutOfDomain, match="got " + re.escape(str(bound))):
-        Perturbation(np.sin, np.cos, lambda x: -np.sin(x), third_bound=bound)
